@@ -1,9 +1,10 @@
-//! Criterion benches of the analysis path: EBS/LBR estimation, hybrid
-//! combination, mix derivation and pivot tables (the paper: "analyzing
-//! most workloads in a minute or less").
+//! Criterion benches of the analysis path: whole-recording estimation
+//! (EBS + LBR with bias detection + hybrid), hybrid combination alone, mix
+//! derivation and pivot tables (the paper: "analyzing most workloads in a
+//! minute or less").
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hbbp_core::{ebs, hybrid, lbr, Analyzer, Field, HybridRule, LbrOptions, SamplingPeriods};
+use hbbp_core::{hybrid, Analyzer, Field, HybridRule, SamplingPeriods};
 use hbbp_isa::Taxonomy;
 use hbbp_perf::PerfSession;
 use hbbp_sim::Cpu;
@@ -29,43 +30,26 @@ fn bench_analyzer(c: &mut Criterion) {
     let mut group = c.benchmark_group("analyzer");
     group.sample_size(30);
 
-    group.bench_function("ebs_estimate", |b| {
+    let rule = HybridRule::paper_default();
+    group.bench_function("analyze_fused", |b| {
         b.iter(|| {
             black_box(
-                ebs::estimate(&rec.data, analyzer.map(), periods.ebs)
+                analyzer
+                    .analyze_fused(&rec.data, periods, &rule)
+                    .hbbp
                     .bbec
                     .total(),
             )
         })
     });
-    group.bench_function("lbr_estimate_with_bias_detection", |b| {
-        b.iter(|| {
-            black_box(
-                lbr::estimate(
-                    &rec.data,
-                    analyzer.map(),
-                    periods.lbr,
-                    &LbrOptions::default(),
-                )
-                .bbec
-                .total(),
-            )
-        })
-    });
 
-    let e = ebs::estimate(&rec.data, analyzer.map(), periods.ebs);
-    let l = lbr::estimate(
-        &rec.data,
-        analyzer.map(),
-        periods.lbr,
-        &LbrOptions::default(),
-    );
-    let rule = HybridRule::paper_default();
+    let analysis = analyzer.analyze_fused(&rec.data, periods, &rule);
+    let (e, l) = (&analysis.ebs, &analysis.lbr);
     group.bench_function("hybrid_combine", |b| {
-        b.iter(|| black_box(hybrid::combine(analyzer.map(), &e, &l, &rule).bbec.total()))
+        b.iter(|| black_box(hybrid::combine(analyzer.map(), e, l, &rule).bbec.total()))
     });
 
-    let h = hybrid::combine(analyzer.map(), &e, &l, &rule);
+    let h = &analysis.hbbp;
     group.bench_function("mix_from_bbec", |b| {
         b.iter(|| black_box(analyzer.mix(&h.bbec).total()))
     });

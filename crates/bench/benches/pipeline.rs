@@ -1,11 +1,12 @@
-//! The analyze-hot-path trajectory bench: fused single-pass, index-based
-//! analysis ([`Analyzer::analyze_fused`]) vs the seed two-scan,
-//! address-keyed pipeline ([`Analyzer::analyze_ref`]) over the Tiny
-//! training suite's recordings, plus the IP→block lookup layer on its own.
+//! The analyze-hot-path trajectory bench: single-pass, index-based
+//! analysis ([`Analyzer::analyze_fused`]) over the Tiny training suite's
+//! recordings, plus the IP→block lookup layer on its own — including a
+//! paired comparison of the locality cursor against the plain page-indexed
+//! lookup on the EBS estimator's access pattern.
 //!
 //! Besides the usual `bench: … ns/iter` lines, a run writes
-//! `BENCH_pipeline.json` to the current directory (the workspace root
-//! under `cargo bench -p hbbp-bench --bench pipeline`) so later PRs have a
+//! `BENCH_pipeline.json` to the workspace root
+//! (`cargo bench -p hbbp-bench --bench pipeline`) so later changes have a
 //! perf trajectory to beat. Set `PIPELINE_BENCH_QUICK=1` to evaluate a
 //! two-workload subset (CI smoke mode; the JSON records which mode ran).
 
@@ -13,12 +14,12 @@ mod common;
 
 use common::{quick_mode, results_block, write_workspace_root};
 use criterion::{black_box, Criterion};
-use hbbp_core::{Analysis, Analyzer, HybridRule, SamplingPeriods};
+use hbbp_core::{Analyzer, HybridRule, SamplingPeriods};
 use hbbp_perf::{PerfData, PerfSession};
 use hbbp_program::ImageView;
 use hbbp_sim::{Cpu, EventSpec};
 use hbbp_workloads::{training_suite, Scale};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One workload's prepared analysis inputs.
 struct Case {
@@ -61,20 +62,6 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
 
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(20);
-    group.bench_function("analyze_seed", |b| {
-        b.iter(|| {
-            let mut total = 0.0;
-            for case in cases {
-                total += case
-                    .analyzer
-                    .analyze_ref(&case.data, case.periods, &rule)
-                    .hbbp
-                    .bbec
-                    .total();
-            }
-            black_box(total)
-        })
-    });
     group.bench_function("analyze_fused", |b| {
         b.iter(|| {
             let mut total = 0.0;
@@ -92,10 +79,24 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
     group.finish();
 
     // The lookup layer on its own, on the EBS estimator's actual access
-    // pattern (the eventing IPs of one recording, in arrival order): the
-    // seed whole-map binary search vs the page-indexed lookup vs a
-    // locality cursor.
-    let ips: Vec<(usize, u64)> = cases
+    // pattern (the eventing IPs of each recording, in arrival order): the
+    // page-indexed lookup vs a locality cursor.
+    let ips = ebs_ips(cases);
+    let mut group = c.benchmark_group("blockmap");
+    group.sample_size(20);
+    group.bench_function("enclosing", |b| {
+        b.iter(|| black_box(plain_hits(cases, &ips)))
+    });
+    group.bench_function("cursor_enclosing", |b| {
+        b.iter(|| black_box(cursor_hits(cases, &ips)))
+    });
+    group.finish();
+}
+
+/// The eventing IPs of every case's EBS samples, tagged with the case
+/// index, in arrival order.
+fn ebs_ips(cases: &[Case]) -> Vec<(usize, u64)> {
+    cases
         .iter()
         .enumerate()
         .flat_map(|(ci, case)| {
@@ -103,100 +104,82 @@ fn bench_pipeline(c: &mut Criterion, cases: &[Case]) {
                 .samples_of(EventSpec::inst_retired_prec_dist())
                 .map(move |s| (ci, s.ip))
         })
-        .collect();
-    let mut group = c.benchmark_group("blockmap");
-    group.sample_size(20);
-    group.bench_function("enclosing_seed", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &(ci, ip) in &ips {
-                if cases[ci].analyzer.map().enclosing_seed(ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.bench_function("enclosing", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            for &(ci, ip) in &ips {
-                if cases[ci].analyzer.map().enclosing(ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.bench_function("cursor_enclosing", |b| {
-        b.iter(|| {
-            let mut hits = 0usize;
-            let mut cursors: Vec<_> = cases.iter().map(|c| c.analyzer.map().cursor()).collect();
-            for &(ci, ip) in &ips {
-                if cursors[ci].enclosing(ip).is_some() {
-                    hits += 1;
-                }
-            }
-            black_box(hits)
-        })
-    });
-    group.finish();
+        .collect()
 }
 
-/// Interleaved seed/fused timing for the headline ratio: the two pipelines
-/// alternate inside the same wall-clock window, so background machine load
-/// hits both about equally and the *ratio* stays stable even when the
-/// absolute ns/iter numbers wobble. Returns `(seed_ns, fused_ns)` mean
-/// per full-suite run.
-fn paired_speedup(cases: &[Case], rounds: u32) -> (f64, f64) {
-    let rule = HybridRule::paper_default();
-    let run = |f: &dyn Fn(&Case) -> Analysis| {
-        let mut total = 0.0;
-        for case in cases {
-            total += f(case).hbbp.bbec.total();
-        }
-        total
+/// Resolve `ips` through each map's page-indexed `enclosing` — how the
+/// EBS accumulator resolves a recording's samples.
+fn plain_hits(cases: &[Case], ips: &[(usize, u64)]) -> usize {
+    ips.iter()
+        .filter(|&&(ci, ip)| cases[ci].analyzer.map().enclosing(ip).is_some())
+        .count()
+}
+
+/// Resolve `ips` through one locality cursor per map, the alternative
+/// the EBS accumulator's lookup is measured against.
+fn cursor_hits(cases: &[Case], ips: &[(usize, u64)]) -> usize {
+    let mut cursors: Vec<_> = cases.iter().map(|c| c.analyzer.map().cursor()).collect();
+    ips.iter()
+        .filter(|&&(ci, ip)| cursors[ci].enclosing(ip).is_some())
+        .count()
+}
+
+/// Interleaved A/B timing: each round times both arms back to back,
+/// alternating which goes first, so background machine load hits both
+/// about equally and the per-pair comparison stays meaningful even when
+/// absolute times wobble. Returns `(a_ns, b_ns)` per round.
+fn paired(rounds: u32, mut a: impl FnMut(), mut b: impl FnMut()) -> Vec<(f64, f64)> {
+    let time = |f: &mut dyn FnMut()| {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_nanos() as f64
     };
-    let seed_fn = |case: &Case| case.analyzer.analyze_ref(&case.data, case.periods, &rule);
-    let fused_fn = |case: &Case| case.analyzer.analyze_fused(&case.data, case.periods, &rule);
-    let mut seed = Duration::ZERO;
-    let mut fused = Duration::ZERO;
-    for _ in 0..rounds {
-        let t = Instant::now();
-        black_box(run(&seed_fn));
-        seed += t.elapsed();
-        let t = Instant::now();
-        black_box(run(&fused_fn));
-        fused += t.elapsed();
-    }
-    (
-        seed.as_nanos() as f64 / rounds as f64,
-        fused.as_nanos() as f64 / rounds as f64,
-    )
+    (0..rounds)
+        .map(|round| {
+            if round % 2 == 0 {
+                let a_ns = time(&mut a);
+                (a_ns, time(&mut b))
+            } else {
+                let b_ns = time(&mut b);
+                (time(&mut a), b_ns)
+            }
+        })
+        .collect()
 }
 
-/// Hand-rolled emitter (no serde in this environment): the headline
-/// paired seed-vs-fused speedup plus one entry per criterion measurement.
-fn emit_json(c: &Criterion, quick: bool, n_workloads: usize, paired: (f64, f64)) -> String {
-    let (seed_ns, fused_ns) = paired;
-    let speedup = if fused_ns > 0.0 {
-        seed_ns / fused_ns
-    } else {
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n == 0 {
         0.0
-    };
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"pipeline\",\n");
-    out.push_str(&format!(
-        "  \"suite\": \"training_suite(Tiny), {n_workloads} workloads\",\n"
-    ));
-    out.push_str(&format!("  \"quick_mode\": {quick},\n"));
-    out.push_str(&format!("  \"speedup_fused_vs_seed\": {speedup:.3},\n"));
-    out.push_str(&format!(
-        "  \"paired\": {{ \"analyze_seed_ns\": {seed_ns:.1}, \"analyze_fused_ns\": {fused_ns:.1} }},\n"
-    ));
-    out.push_str(&results_block(c));
-    out.push_str("\n}\n");
-    out
+    } else if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
+/// The paired cursor-vs-plain lookup comparison as a JSON block (with a
+/// trailing comma), plus a one-line summary.
+fn cursor_block(pairs: &[(f64, f64)]) -> (String, String) {
+    let n = pairs.len();
+    let plain_wins = pairs
+        .iter()
+        .filter(|(cursor, plain)| plain < cursor)
+        .count();
+    let cursor_ns = median(pairs.iter().map(|p| p.0).collect());
+    let plain_ns = median(pairs.iter().map(|p| p.1).collect());
+    let ratio = median(pairs.iter().map(|(c, p)| c / p).collect());
+    let block = format!(
+        "  \"cursor_vs_enclosing\": {{ \"pairs\": {n}, \"enclosing_wins\": {plain_wins}, \
+         \"cursor_median_ns\": {cursor_ns:.1}, \"enclosing_median_ns\": {plain_ns:.1}, \
+         \"median_ratio_cursor_over_enclosing\": {ratio:.3} }},\n"
+    );
+    let summary = format!(
+        "paired lookup: cursor {cursor_ns:.1} ns  enclosing {plain_ns:.1} ns  \
+         (median ratio {ratio:.3}; enclosing faster in {plain_wins}/{n} pairs)"
+    );
+    (block, summary)
 }
 
 fn main() {
@@ -204,13 +187,26 @@ fn main() {
     let cases = build_cases(quick);
     let mut criterion = Criterion::default();
     bench_pipeline(&mut criterion, &cases);
-    let paired = paired_speedup(&cases, if quick { 4 } else { 12 });
-    println!(
-        "paired: analyze_seed {:>14.1} ns  analyze_fused {:>14.1} ns  speedup {:.2}x",
-        paired.0,
-        paired.1,
-        paired.0 / paired.1
+    let ips = ebs_ips(&cases);
+    let pairs = paired(
+        if quick { 4 } else { 10 },
+        || {
+            black_box(cursor_hits(&cases, &ips));
+        },
+        || {
+            black_box(plain_hits(&cases, &ips));
+        },
     );
-    let json = emit_json(&criterion, quick, cases.len(), paired);
+    let (cursor, summary) = cursor_block(&pairs);
+    println!("{summary}");
+    let mut json = String::from("{\n  \"bench\": \"pipeline\",\n");
+    json.push_str(&format!(
+        "  \"suite\": \"training_suite(Tiny), {} workloads\",\n",
+        cases.len()
+    ));
+    json.push_str(&format!("  \"quick_mode\": {quick},\n"));
+    json.push_str(&cursor);
+    json.push_str(&results_block(&criterion));
+    json.push_str("\n}\n");
     write_workspace_root("BENCH_pipeline.json", &json);
 }

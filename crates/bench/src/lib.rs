@@ -20,5 +20,6 @@
 
 pub mod exp;
 pub mod runner;
+pub mod scaling;
 
 pub use exp::ExpOptions;

@@ -14,20 +14,20 @@
 //! spec is reproducible: the same spec + seed replays to a byte-identical
 //! recording without re-solving.
 
-use crate::analyze::{check_mmap, expected_modules, verify_layout};
+use crate::analyze::stream_recording;
 use crate::args::{parse_all, CliError};
 use crate::common::{analyzer_for, parse_rule, parse_window_flag, WorkloadOptions};
 use crate::registry;
 use crate::render::{json_f64, mix_json_entries, Format};
 use hbbp_core::{Analyzer, HybridRule, OnlineAnalyzer, SamplingPeriods, Window};
-use hbbp_perf::{PerfRecord, PerfSession, RecordView, StreamDecoder, ViewSink};
+use hbbp_perf::PerfSession;
 use hbbp_program::{ImageView, MnemonicMix};
 use hbbp_sim::Cpu;
 use hbbp_store::{ProfileStore, StoreClient, StoreIdentity};
 use hbbp_workloads::{calibrate, compile, Calibration, CalibratorConfig, SynthSpec, Workload};
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Where the target mix comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -254,50 +254,19 @@ impl SynthOptions {
         }
     }
 
-    fn recording_target(&self, path: &PathBuf) -> Result<(MnemonicMix, String), CliError> {
+    fn recording_target(&self, path: &Path) -> Result<(MnemonicMix, String), CliError> {
         let w = self.workload.build()?;
         let analyzer = analyzer_for(&w)?;
-        let bytes = std::fs::read(path)
-            .map_err(|e| CliError::Failed(format!("cannot read {}: {e}", path.display())))?;
+        let online = OnlineAnalyzer::new(&analyzer, self.workload.periods, self.rule.clone());
         match self.window {
             None => {
-                let data = hbbp_perf::codec::read(&bytes).map_err(|e| {
-                    CliError::Failed(format!(
-                        "{} is not a decodable recording: {e}",
-                        path.display()
-                    ))
-                })?;
-                verify_layout(&data, &w)?;
-                let analysis = analyzer.analyze_fused(&data, self.workload.periods, &self.rule);
+                let outcome = stream_recording(path, online, &w)?;
+                let analysis = outcome.into_analysis().expect("unwindowed run");
                 let mix = analyzer.mix(&analysis.hbbp.bbec);
                 Ok((mix, format!("recording {} (whole run)", path.display())))
             }
             Some(n) => {
-                let online =
-                    OnlineAnalyzer::new(&analyzer, self.workload.periods, self.rule.clone())
-                        .with_window(self.window_size);
-                let mut sink = SynthSink {
-                    online,
-                    expected: expected_modules(&w),
-                    workload: &w,
-                    err: None,
-                };
-                let mut decoder = StreamDecoder::new();
-                decoder.feed(&bytes);
-                let decoded = decoder.decode_into(&mut sink);
-                if let Some(err) = sink.err.take() {
-                    return Err(err);
-                }
-                decoded.map_err(|e| {
-                    CliError::Failed(format!(
-                        "{} is not a decodable recording: {e}",
-                        path.display()
-                    ))
-                })?;
-                decoder.finish().map_err(|e| {
-                    CliError::Failed(format!("{} ends mid-record: {e}", path.display()))
-                })?;
-                let outcome = sink.online.finish();
+                let outcome = stream_recording(path, online.with_window(self.window_size), &w)?;
                 let total = outcome.windows.len();
                 let win = outcome.windows.into_iter().nth(n).ok_or_else(|| {
                     CliError::Failed(format!(
@@ -555,36 +524,6 @@ fn render_json(
         steps,
         cal.spec.to_json().trim_end()
     )
-}
-
-/// [`ViewSink`] feeding a recording's views into the windowed analyzer
-/// after the same MMAP-against-layout check `hbbp analyze` performs.
-struct SynthSink<'s, 'a> {
-    online: OnlineAnalyzer<'a>,
-    expected: Vec<(String, u64, u64)>,
-    workload: &'s Workload,
-    err: Option<CliError>,
-}
-
-impl ViewSink for SynthSink<'_, '_> {
-    fn view(&mut self, view: &RecordView<'_>) {
-        if self.err.is_some() {
-            return;
-        }
-        if let RecordView::Other(PerfRecord::Mmap {
-            addr,
-            len,
-            filename,
-            ..
-        }) = view
-        {
-            if let Err(e) = check_mmap(&self.expected, filename, *addr, *len, self.workload) {
-                self.err = Some(e);
-                return;
-            }
-        }
-        self.online.push_view(view);
-    }
 }
 
 #[cfg(test)]

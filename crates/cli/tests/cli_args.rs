@@ -190,31 +190,32 @@ const MATRIX: &[Case] = &[
         args: &["p.bin", "--rule", "sometimes"],
         want: Want::Err("invalid value `sometimes` for --rule"),
     },
+    // `analyze` always ingests through the fused zero-copy path; the old
+    // ingest toggles are unknown flags, in any position and any form.
     Case {
         command: "analyze",
         args: &["p.bin", "--fused"],
-        want: Want::Ok,
+        want: Want::Err("unknown flag `--fused`"),
     },
     Case {
         command: "analyze",
         args: &["p.bin", "--no-fused", "--window", "samples:100"],
-        want: Want::Ok,
+        want: Want::Err("unknown flag `--no-fused`"),
     },
     Case {
-        // The pair is order-insensitive: the last one wins, both parse.
         command: "analyze",
-        args: &["p.bin", "--no-fused", "--fused"],
-        want: Want::Ok,
+        args: &["p.bin", "--window", "samples:100", "--no-fused"],
+        want: Want::Err("unknown flag `--no-fused`"),
     },
     Case {
         command: "analyze",
         args: &["p.bin", "--fused=yes"],
-        want: Want::Err("flag --fused takes no value (got `yes`)"),
+        want: Want::Err("unknown flag `--fused`"),
     },
     Case {
         command: "analyze",
         args: &["p.bin", "--no-fused=1"],
-        want: Want::Err("flag --no-fused takes no value (got `1`)"),
+        want: Want::Err("unknown flag `--no-fused`"),
     },
     Case {
         command: "analyze",
@@ -719,16 +720,27 @@ fn flag_matrix() {
     }
 }
 
+/// `analyze` has one ingest path, so the former `--fused`/`--no-fused`
+/// toggle is gone: either flag, in either order, is rejected as unknown
+/// (the first one met names the error).
 #[test]
 fn fused_defaults_on_and_last_toggle_wins() {
-    let parse = |args: &[&str]| {
+    let err = |args: &[&str]| {
         let args: Vec<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        analyze::AnalyzeOptions::parse(&args).unwrap()
+        analyze::AnalyzeOptions::parse(&args)
+            .unwrap_err()
+            .to_string()
     };
-    assert!(parse(&["p.bin"]).fused);
-    assert!(!parse(&["p.bin", "--no-fused"]).fused);
-    assert!(parse(&["p.bin", "--no-fused", "--fused"]).fused);
-    assert!(!parse(&["p.bin", "--fused", "--no-fused"]).fused);
+    assert_eq!(err(&["p.bin", "--fused"]), "unknown flag `--fused`");
+    assert_eq!(err(&["p.bin", "--no-fused"]), "unknown flag `--no-fused`");
+    assert_eq!(
+        err(&["p.bin", "--no-fused", "--fused"]),
+        "unknown flag `--no-fused`"
+    );
+    assert_eq!(
+        err(&["p.bin", "--fused", "--no-fused"]),
+        "unknown flag `--fused`"
+    );
 }
 
 #[test]

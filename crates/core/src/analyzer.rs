@@ -8,14 +8,16 @@
 //! [`Analyzer`] owns the block map (the static side), turns any BBEC into
 //! mnemonic mixes and pivot tables, and performs the kernel-text patch
 //! step of §III.C before the map is built (see [`Analyzer::from_images`]).
+//! The dynamic side — mapping samples onto blocks and estimating counts —
+//! is [`OnlineAnalyzer`]'s job; [`Analyzer::analyze_fused`] drives it over
+//! a whole recording.
 
-use crate::{ebs, hybrid, lbr, EbsEstimate, HbbpEstimate, HybridRule, LbrEstimate, LbrOptions};
+use crate::{EbsEstimate, HbbpEstimate, HybridRule, LbrEstimate, LbrOptions, OnlineAnalyzer};
 use crate::{Field, PivotTable, SamplingPeriods};
 use hbbp_perf::PerfData;
 use hbbp_program::{
     Bbec, BlockMap, DiscoverError, MnemonicMix, Ring, StaticBlock, SymbolInfo, TextImage,
 };
-use hbbp_sim::EventSpec;
 use std::collections::HashMap;
 
 /// The analysis engine for one workload's images.
@@ -92,64 +94,25 @@ impl Analyzer {
         &self.lbr_options
     }
 
-    /// Run all three estimators over a recording.
+    /// Run all three estimators over an in-memory recording: an
+    /// unwindowed [`OnlineAnalyzer`] driven over its records, so each
+    /// sample is dispatched once to the EBS or LBR estimator by event, and
+    /// kept LBR stacks stay borrowed from `data`. Estimation runs in
+    /// block-index coordinates (dense tables, page-indexed lookups).
     ///
-    /// Thin wrapper over [`Analyzer::analyze_fused`]; results are
-    /// identical.
-    pub fn analyze(
-        &self,
-        data: &PerfData,
-        periods: SamplingPeriods,
-        rule: &HybridRule,
-    ) -> Analysis {
-        self.analyze_fused(data, periods, rule)
-    }
-
-    /// Run all three estimators in a **single pass** over the recording:
-    /// each sample record is dispatched once to the EBS or LBR accumulator
-    /// by event, instead of the seed's two independent full scans with
-    /// per-event filtering. Estimation itself runs in block-index
-    /// coordinates (dense tables + locality cursors).
-    ///
-    /// Produces results bit-identical to [`Analyzer::analyze_ref`] (the
-    /// per-event sample order is exactly what the per-event scans see).
+    /// Pinned bit-identical to the seed two-scan, address-keyed pipeline
+    /// (kept in `crates/core/tests/support`) by the property suite.
     pub fn analyze_fused(
         &self,
         data: &PerfData,
         periods: SamplingPeriods,
         rule: &HybridRule,
     ) -> Analysis {
-        let ebs_event = EventSpec::inst_retired_prec_dist();
-        let lbr_event = EventSpec::br_inst_retired_near_taken();
-        let mut ebs_acc = ebs::EbsAccum::new(&self.map, periods.ebs);
-        let mut lbr_acc = lbr::LbrAccum::new(&self.map, periods.lbr, self.lbr_options.clone());
-        for sample in data.samples() {
-            if sample.event == ebs_event {
-                ebs_acc.observe(sample);
-            } else if sample.event == lbr_event {
-                lbr_acc.observe(sample);
-            }
+        let mut online = OnlineAnalyzer::new(self, periods, rule.clone());
+        for record in data.records() {
+            online.push_record(record);
         }
-        let ebs = ebs_acc.finish();
-        let lbr = lbr_acc.finish();
-        let hbbp = hybrid::combine(&self.map, &ebs, &lbr, rule);
-        Analysis { ebs, lbr, hbbp }
-    }
-
-    /// The seed analysis pipeline: two independent full scans of the
-    /// recording through the address-keyed reference estimators. Kept for
-    /// equivalence property tests and the `BENCH_pipeline.json` perf
-    /// trajectory; produces results identical to [`Analyzer::analyze`].
-    pub fn analyze_ref(
-        &self,
-        data: &PerfData,
-        periods: SamplingPeriods,
-        rule: &HybridRule,
-    ) -> Analysis {
-        let ebs = ebs::estimate_ref(data, &self.map, periods.ebs);
-        let lbr = lbr::estimate_ref(data, &self.map, periods.lbr, &self.lbr_options);
-        let hbbp = hybrid::combine_ref(&self.map, &ebs, &lbr, rule);
-        Analysis { ebs, lbr, hbbp }
+        online.into_analysis()
     }
 
     /// Derive the instruction mix from a BBEC ("If we know how many times a

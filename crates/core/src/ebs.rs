@@ -5,16 +5,17 @@
 //! must then divide the number of samples recorded for a basic block by
 //! the instruction length of that block."
 //!
-//! The production path ([`estimate`] / the crate-internal `EbsAccum`) works in the block
-//! **index** coordinate system: raw sample tallies live in a plain vector
-//! indexed by [`BlockMap`] block index and IPs resolve through a
-//! [`hbbp_program::BlockCursor`], so the hot loop performs no hashing.
-//! [`estimate_ref`] preserves the original address-keyed implementation as
-//! the equivalence/benchmark reference.
+//! The crate-internal `EbsAccum`, which [`crate::OnlineAnalyzer`] feeds
+//! the eventing IPs of `INST_RETIRED:PREC_DIST` samples, works in the
+//! block **index** coordinate system: raw sample tallies live in a plain
+//! vector indexed by [`BlockMap`] block index and IPs resolve through the
+//! map's page index, so the hot loop performs no hashing. (Sampled IPs
+//! rarely repeat the previous sample's block, so a locality cursor costs
+//! more than it saves here: see `cursor_vs_enclosing` in
+//! `BENCH_pipeline.json`.)
+//! LBR stacks attached to those samples are **discarded** (paper §V.A).
 
-use hbbp_perf::{PerfData, PerfSample};
-use hbbp_program::{Bbec, BlockCursor, BlockMap, DenseBbec};
-use hbbp_sim::EventSpec;
+use hbbp_program::{Bbec, BlockMap, DenseBbec};
 use std::collections::HashMap;
 
 /// Result of EBS estimation.
@@ -47,16 +48,12 @@ impl EbsEstimate {
     }
 }
 
-/// Streaming EBS accumulator: feed it `INST_RETIRED:PREC_DIST` samples one
-/// at a time (event filtering is the caller's job), then [`finish`] into
-/// an [`EbsEstimate`]. This is the building block the fused single-pass
-/// analyzer dispatches into.
-///
-/// [`finish`]: EbsAccum::finish
+/// Streaming EBS accumulator: feed it the IPs of `INST_RETIRED:PREC_DIST`
+/// samples one at a time (event filtering is the caller's job), then
+/// [`take_estimate`](EbsAccum::take_estimate) an [`EbsEstimate`].
 #[derive(Debug, Clone)]
 pub(crate) struct EbsAccum<'m> {
     map: &'m BlockMap,
-    cursor: BlockCursor<'m>,
     samples: Vec<u64>,
     used: u64,
     unmapped: u64,
@@ -67,7 +64,6 @@ impl<'m> EbsAccum<'m> {
     pub(crate) fn new(map: &'m BlockMap, period: u64) -> EbsAccum<'m> {
         EbsAccum {
             map,
-            cursor: map.cursor(),
             samples: vec![0; map.len()],
             used: 0,
             unmapped: 0,
@@ -75,26 +71,15 @@ impl<'m> EbsAccum<'m> {
         }
     }
 
-    /// Attribute one sample's eventing IP. Attached LBR stacks are
-    /// **discarded** (paper §V.A).
-    pub(crate) fn observe(&mut self, sample: &PerfSample) {
-        self.observe_ip(sample.ip);
-    }
-
-    /// [`observe`](EbsAccum::observe) without the sample wrapper — the
-    /// zero-copy view path has no `PerfSample` to hand over.
+    /// Attribute one sample's eventing IP.
     pub(crate) fn observe_ip(&mut self, ip: u64) {
-        match self.cursor.enclosing(ip) {
+        match self.map.enclosing(ip) {
             Some(bi) => {
                 self.samples[bi] += 1;
                 self.used += 1;
             }
             None => self.unmapped += 1,
         }
-    }
-
-    pub(crate) fn finish(mut self) -> EbsEstimate {
-        self.take_estimate()
     }
 
     /// Produce the estimate of everything observed so far and reset the
@@ -134,60 +119,26 @@ impl<'m> EbsAccum<'m> {
     }
 }
 
-/// Build the EBS estimate from the eventing IPs of
-/// `INST_RETIRED:PREC_DIST` samples. LBR stacks attached to those samples
-/// are **discarded** (paper §V.A).
-pub fn estimate(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
-    let mut acc = EbsAccum::new(map, period);
-    for sample in data.samples_of(EventSpec::inst_retired_prec_dist()) {
-        acc.observe(sample);
-    }
-    acc.finish()
-}
-
-/// The seed address-keyed implementation of [`estimate`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results; lookups go through the
-/// seed's whole-map binary search ([`BlockMap::enclosing_seed`]), so this
-/// measures the true pre-index baseline.
-pub fn estimate_ref(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
-    let event = EventSpec::inst_retired_prec_dist();
-    let mut samples_per_block: HashMap<u64, u64> = HashMap::new();
-    let mut used = 0u64;
-    let mut unmapped = 0u64;
-    for sample in data.samples_of(event) {
-        match map.enclosing_seed(sample.ip) {
-            Some(bi) => {
-                *samples_per_block.entry(map.blocks()[bi].start).or_insert(0) += 1;
-                used += 1;
-            }
-            None => unmapped += 1,
-        }
-    }
-    let mut bbec = Bbec::new();
-    for (&start, &n) in &samples_per_block {
-        let bi = map.at_start(start).expect("block exists");
-        let len = map.blocks()[bi].len().max(1) as f64;
-        bbec.set(start, n as f64 * period as f64 / len);
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    EbsEstimate {
-        bbec,
-        dense,
-        samples_per_block,
-        samples_used: used,
-        samples_unmapped: unmapped,
-        period,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Analyzer, HybridRule, SamplingPeriods};
     use hbbp_isa::instruction::build;
     use hbbp_isa::{Mnemonic, Reg};
-    use hbbp_perf::{PerfRecord, PerfSample};
+    use hbbp_perf::{PerfData, PerfRecord, PerfSample};
     use hbbp_program::{ImageView, Layout, ProgramBuilder, Ring, TextImage};
+    use hbbp_sim::EventSpec;
+
+    /// The EBS estimate of a whole recording.
+    fn whole_run_ebs(data: &PerfData, map: &BlockMap, period: u64) -> EbsEstimate {
+        let periods = SamplingPeriods {
+            ebs: period,
+            lbr: 1,
+        };
+        Analyzer::from_map(map.clone(), HashMap::new())
+            .analyze_fused(data, periods, &HybridRule::paper_default())
+            .ebs
+    }
 
     /// One 5-instruction block + exit block.
     fn map_fixture() -> (BlockMap, u64, u64) {
@@ -230,7 +181,7 @@ mod tests {
         for i in 0..10 {
             data.push(sample_at(if i % 2 == 0 { b0_start } else { mid_ip }));
         }
-        let est = estimate(&data, &map, 1000);
+        let est = whole_run_ebs(&data, &map, 1000);
         assert_eq!(est.samples_used, 10);
         assert_eq!(est.samples_unmapped, 0);
         assert!((est.count(b0_start) - 10.0 * 1000.0 / 5.0).abs() < 1e-9);
@@ -242,7 +193,7 @@ mod tests {
         let mut data = PerfData::new();
         data.push(sample_at(0xdead_beef));
         data.push(sample_at(b0_start));
-        let est = estimate(&data, &map, 100);
+        let est = whole_run_ebs(&data, &map, 100);
         assert_eq!(est.samples_used, 1);
         assert_eq!(est.samples_unmapped, 1);
         assert_eq!(est.bbec.len(), 1);
@@ -262,7 +213,7 @@ mod tests {
             ring: Ring::User,
             lbr: vec![],
         }));
-        let est = estimate(&data, &map, 100);
+        let est = whole_run_ebs(&data, &map, 100);
         assert_eq!(est.samples_used, 0);
         assert!(est.bbec.is_empty());
     }
@@ -270,26 +221,8 @@ mod tests {
     #[test]
     fn empty_data_is_empty_estimate() {
         let (map, _, _) = map_fixture();
-        let est = estimate(&PerfData::new(), &map, 100);
+        let est = whole_run_ebs(&PerfData::new(), &map, 100);
         assert!(est.bbec.is_empty());
         assert_eq!(est.samples_used + est.samples_unmapped, 0);
-    }
-
-    #[test]
-    fn index_and_reference_paths_agree() {
-        let (map, b0_start, mid_ip) = map_fixture();
-        let mut data = PerfData::new();
-        for ip in [b0_start, mid_ip, 0xdead_beef, b0_start, mid_ip + 2] {
-            data.push(sample_at(ip));
-        }
-        let fast = estimate(&data, &map, 733);
-        let seed = estimate_ref(&data, &map, 733);
-        assert_eq!(fast.bbec, seed.bbec);
-        assert_eq!(fast.dense, seed.dense);
-        assert_eq!(fast.samples_per_block, seed.samples_per_block);
-        assert_eq!(fast.samples_used, seed.samples_used);
-        assert_eq!(fast.samples_unmapped, seed.samples_unmapped);
-        let bi = map.at_start(b0_start).unwrap();
-        assert_eq!(fast.count_idx(bi), fast.count(b0_start));
     }
 }

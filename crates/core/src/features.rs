@@ -100,7 +100,7 @@ impl BlockFeatures {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ebs, lbr, LbrOptions};
+    use crate::{Analyzer, HybridRule, SamplingPeriods};
     use hbbp_isa::instruction::build;
     use hbbp_isa::{Mnemonic, Reg};
     use hbbp_perf::PerfData;
@@ -129,11 +129,16 @@ mod tests {
     fn extraction_captures_static_properties() {
         let (map, b0) = fixture();
         let empty = PerfData::new();
-        let e = ebs::estimate(&empty, &map, 100);
-        let l = lbr::estimate(&empty, &map, 50, &LbrOptions::default());
+        let periods = SamplingPeriods { ebs: 100, lbr: 50 };
+        let analysis = Analyzer::from_map(map.clone(), Default::default()).analyze_fused(
+            &empty,
+            periods,
+            &HybridRule::paper_default(),
+        );
+        let (e, l) = (&analysis.ebs, &analysis.lbr);
         let bi = map.at_start(b0).unwrap();
-        let feats = BlockFeatures::extract(&map.blocks()[bi], &e, &l);
-        let feats_idx = BlockFeatures::extract_indexed(&map.blocks()[bi], bi, &e, &l);
+        let feats = BlockFeatures::extract(&map.blocks()[bi], e, l);
+        let feats_idx = BlockFeatures::extract_indexed(&map.blocks()[bi], bi, e, l);
         assert_eq!(feats, feats_idx, "address and index paths must agree");
         assert_eq!(feats.block_len, 5.0);
         assert!(feats.has_long_latency, "IDIV present");

@@ -163,8 +163,7 @@ impl HbbpEstimate {
 ///
 /// Works entirely in block-index coordinates: per-block counts and bias
 /// flags come from the estimates' dense tables, so the per-block loop does
-/// no hashing or tree walks. [`combine_ref`] keeps the seed address-keyed
-/// version for equivalence testing.
+/// no hashing or tree walks.
 pub fn combine(
     map: &BlockMap,
     ebs: &EbsEstimate,
@@ -196,46 +195,10 @@ pub fn combine(
     }
 }
 
-/// The seed address-keyed implementation of [`combine`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results.
-pub fn combine_ref(
-    map: &BlockMap,
-    ebs: &EbsEstimate,
-    lbr: &LbrEstimate,
-    rule: &HybridRule,
-) -> HbbpEstimate {
-    let mut bbec = Bbec::new();
-    let mut choices = HashMap::new();
-    for block in map.blocks() {
-        let e = ebs.count(block.start);
-        let l = lbr.count(block.start);
-        if e == 0.0 && l == 0.0 {
-            continue;
-        }
-        let features = BlockFeatures::extract(block, ebs, lbr);
-        let choice = rule.choose(&features);
-        let value = match choice {
-            Choice::Ebs => e,
-            Choice::Lbr => l,
-        };
-        choices.insert(block.start, choice);
-        if value > 0.0 {
-            bbec.set(block.start, value);
-        }
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    HbbpEstimate {
-        bbec,
-        dense,
-        choices,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ebs, lbr, LbrOptions};
+    use crate::{Analyzer, SamplingPeriods};
     use hbbp_isa::instruction::build;
     use hbbp_isa::{Mnemonic, Reg};
     use hbbp_perf::{PerfData, PerfRecord, PerfSample};
@@ -283,6 +246,20 @@ mod tests {
         }
     }
 
+    /// The EBS (period 1000) and LBR (period 300) estimates of a recording.
+    fn estimates(data: &PerfData, map: &BlockMap) -> (EbsEstimate, LbrEstimate) {
+        let periods = SamplingPeriods {
+            ebs: 1000,
+            lbr: 300,
+        };
+        let analysis = Analyzer::from_map(map.clone(), HashMap::new()).analyze_fused(
+            data,
+            periods,
+            &HybridRule::paper_default(),
+        );
+        (analysis.ebs, analysis.lbr)
+    }
+
     fn data_with_both(fx: &Fixture) -> PerfData {
         let mut data = PerfData::new();
         // EBS: 10 samples in short block, 10 in long.
@@ -328,8 +305,7 @@ mod tests {
     fn paper_rule_routes_by_length() {
         let fx = fixture();
         let data = data_with_both(&fx);
-        let e = ebs::estimate(&data, &fx.map, 1000);
-        let l = lbr::estimate(&data, &fx.map, 300, &LbrOptions::default());
+        let (e, l) = estimates(&data, &fx.map);
         let h = combine(&fx.map, &e, &l, &HybridRule::paper_default());
         assert_eq!(h.choices[&fx.short_start], Choice::Lbr);
         assert_eq!(h.choices[&fx.long_start], Choice::Ebs);
@@ -343,8 +319,7 @@ mod tests {
     fn ablation_rules() {
         let fx = fixture();
         let data = data_with_both(&fx);
-        let e = ebs::estimate(&data, &fx.map, 1000);
-        let l = lbr::estimate(&data, &fx.map, 300, &LbrOptions::default());
+        let (e, l) = estimates(&data, &fx.map);
         let he = combine(&fx.map, &e, &l, &HybridRule::AlwaysEbs);
         assert_eq!(he.count(fx.short_start), e.count(fx.short_start));
         let hl = combine(&fx.map, &e, &l, &HybridRule::AlwaysLbr);
@@ -355,8 +330,7 @@ mod tests {
     fn blocks_without_evidence_are_absent() {
         let fx = fixture();
         let empty = PerfData::new();
-        let e = ebs::estimate(&empty, &fx.map, 1000);
-        let l = lbr::estimate(&empty, &fx.map, 300, &LbrOptions::default());
+        let (e, l) = estimates(&empty, &fx.map);
         let h = combine(&fx.map, &e, &l, &HybridRule::paper_default());
         assert!(h.bbec.is_empty());
         assert!(h.choices.is_empty());
@@ -376,8 +350,7 @@ mod tests {
 
         let fx = fixture();
         let data = data_with_both(&fx);
-        let e = ebs::estimate(&data, &fx.map, 1000);
-        let l = lbr::estimate(&data, &fx.map, 300, &LbrOptions::default());
+        let (e, l) = estimates(&data, &fx.map);
         let h_tree = combine(&fx.map, &e, &l, &rule);
         let h_cut = combine(&fx.map, &e, &l, &HybridRule::paper_default());
         assert_eq!(h_tree.choices, h_cut.choices);

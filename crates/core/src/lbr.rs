@@ -6,20 +6,18 @@
 //! disproportionately (their terminating streams are structurally dropped)
 //! and flags the blocks whose LBR evidence depends on them.
 //!
-//! The production path ([`estimate`] / the crate-internal `LbrAccum`) interns branch source
-//! addresses into dense ids once and keeps every per-branch statistic in a
-//! plain vector; per-stack dedup uses an epoch-stamped bitset (O(1) per
-//! entry, replacing the seed's linear `contains` scan); per-block weights
-//! are vectors indexed by [`BlockMap`] block index; stream walks reuse one
-//! buffer through a locality [`hbbp_program::BlockCursor`], with small
-//! direct-mapped branch and stream caches in front of the hot lookups. The
-//! seed
-//! address-keyed implementation survives as [`estimate_ref`] for
-//! equivalence property tests and the perf trajectory benchmark.
+//! The crate-internal `LbrStats`, which [`crate::OnlineAnalyzer`] feeds
+//! the stacks of `BR_INST_RETIRED:NEAR_TAKEN` samples (their eventing IPs
+//! are **discarded**, paper §V.A), interns branch source addresses into
+//! dense ids once and keeps every per-branch statistic in a plain vector;
+//! per-stack dedup uses an epoch-stamped bitset (O(1) per entry, replacing
+//! the seed's linear `contains` scan); per-block weights are vectors
+//! indexed by [`BlockMap`] block index; stream walks reuse one buffer
+//! through a locality [`hbbp_program::BlockCursor`], with small
+//! direct-mapped branch and stream caches in front of the hot lookups.
 
-use hbbp_perf::{PerfData, PerfSample};
 use hbbp_program::{Bbec, BlockCursor, BlockMap, DenseBbec};
-use hbbp_sim::{EventSpec, LbrEntry};
+use hbbp_sim::LbrEntry;
 use std::collections::{HashMap, HashSet};
 
 /// Tunables for LBR analysis.
@@ -114,14 +112,9 @@ const STREAM_CACHE_BITS: u32 = 10;
 /// occupancy, appearances, per-stack presence) stream in through
 /// [`LbrStats::observe_stack`]; pass 2 (stream decomposition and
 /// attribution, which needs the finished bias verdicts) runs in
-/// [`LbrStats::finish`] over whatever stack storage the caller kept.
-///
-/// Two callers wrap it: [`LbrAccum`] buffers stacks **by reference** (the
-/// whole recording is in memory anyway — the fused batch path), and the
-/// online analyzer buffers **owned** copies of just the stacks (the
-/// bounded-memory streaming path, where the recording itself is never
-/// materialized). Both feed `finish` the same stack sequence, so results
-/// are bit-identical.
+/// [`LbrStats::take_estimate`] over whatever stack storage the caller
+/// kept — the online analyzer keeps stacks borrowed from an in-memory
+/// recording or in pooled buffers, whichever the record arrived as.
 ///
 /// Branch identity exploits the block map: a well-formed LBR source is a
 /// block **terminator** address, so its block index doubles as its branch
@@ -221,7 +214,7 @@ impl<'m> LbrStats<'m> {
         id
     }
 
-    /// Address of a branch id (inverse of [`LbrAccum::intern`]).
+    /// Address of a branch id (inverse of [`LbrStats::intern`]).
     fn id_addr(&self, id: usize) -> u64 {
         match id.checked_sub(self.map.len()) {
             Some(ordinal) => self.overflow_addrs[ordinal],
@@ -232,7 +225,7 @@ impl<'m> LbrStats<'m> {
     /// Ingest one stack's pass-1 statistics (the sample's eventing IP is
     /// **discarded**, paper §V.A). Returns `true` when the stack is usable
     /// for pass-2 stream attribution (≥ 2 entries) — the caller must then
-    /// keep the stack and replay it to [`LbrStats::finish`].
+    /// keep the stack and replay it to [`LbrStats::take_estimate`].
     pub(crate) fn observe_stack(&mut self, entries: &[LbrEntry]) -> bool {
         if entries.is_empty() {
             return false;
@@ -268,18 +261,9 @@ impl<'m> LbrStats<'m> {
     /// Pass 2: judge branch bias from the pass-1 statistics, then walk and
     /// attribute the streams of `stacks` — which must be exactly the
     /// stacks [`LbrStats::observe_stack`] returned `true` for, in
-    /// observation order.
-    pub(crate) fn finish<'a, I>(mut self, stacks: I) -> LbrEstimate
-    where
-        I: IntoIterator<Item = &'a [LbrEntry]>,
-    {
-        self.take_estimate(stacks)
-    }
-
-    /// [`finish`](LbrStats::finish) without consuming: produce the
-    /// estimate, then reset every pass-1 statistic in place so the
-    /// accumulator (and all its vectors, caches and overflow tables) is
-    /// ready for the next window without reallocating.
+    /// observation order. Every pass-1 statistic is then reset in place,
+    /// so the accumulator (and all its vectors, caches and overflow
+    /// tables) is ready for the next window without reallocating.
     pub(crate) fn take_estimate<'a, I>(&mut self, stacks: I) -> LbrEstimate
     where
         I: IntoIterator<Item = &'a [LbrEntry]>,
@@ -473,181 +457,32 @@ impl<'m> LbrStats<'m> {
     }
 }
 
-/// Streaming LBR accumulator over an in-memory recording: feed it
-/// `BR_INST_RETIRED:NEAR_TAKEN` samples (event filtering is the caller's
-/// job), then [`finish`] into an [`LbrEstimate`]. Usable stacks are
-/// buffered **by reference** into the recording — zero copies; the
-/// bounded-memory owned-buffer variant lives in
-/// [`crate::online::OnlineAnalyzer`].
-///
-/// [`finish`]: LbrAccum::finish
-#[derive(Debug, Clone)]
-pub(crate) struct LbrAccum<'m, 'd> {
-    stats: LbrStats<'m>,
-    buffered: Vec<&'d [LbrEntry]>,
-}
-
-impl<'m, 'd> LbrAccum<'m, 'd> {
-    pub(crate) fn new(map: &'m BlockMap, period: u64, options: LbrOptions) -> LbrAccum<'m, 'd> {
-        LbrAccum {
-            stats: LbrStats::new(map, period, options),
-            buffered: Vec::new(),
-        }
-    }
-
-    /// Ingest one sample's LBR stack (its eventing IP is **discarded**,
-    /// paper §V.A).
-    pub(crate) fn observe(&mut self, sample: &'d PerfSample) {
-        if self.stats.observe_stack(&sample.lbr) {
-            self.buffered.push(&sample.lbr);
-        }
-    }
-
-    pub(crate) fn finish(self) -> LbrEstimate {
-        self.stats.finish(self.buffered)
-    }
-}
-
-/// Build the LBR estimate from the stacks of `BR_INST_RETIRED:NEAR_TAKEN`
-/// samples. Eventing IPs of those samples are **discarded** (paper §V.A).
-pub fn estimate(data: &PerfData, map: &BlockMap, period: u64, options: &LbrOptions) -> LbrEstimate {
-    let mut acc = LbrAccum::new(map, period, options.clone());
-    for sample in data.samples_of(EventSpec::br_inst_retired_near_taken()) {
-        acc.observe(sample);
-    }
-    acc.finish()
-}
-
-/// The seed address-keyed implementation of [`estimate`], kept as the
-/// reference for equivalence property tests and the `BENCH_pipeline.json`
-/// perf trajectory. Produces bit-identical results. Its per-stack dedup is
-/// the original O(stack²) scan and its walks go through the seed's
-/// whole-map binary searches ([`BlockMap::walk_stream_seed`]) — it
-/// measures the true pre-index baseline; do not use it on hot paths.
-pub fn estimate_ref(
-    data: &PerfData,
-    map: &BlockMap,
-    period: u64,
-    options: &LbrOptions,
-) -> LbrEstimate {
-    let event = EventSpec::br_inst_retired_near_taken();
-
-    // Pass 1: entry[0] occupancy statistics per branch source address,
-    // conditioned on the branch being present in a stack at all (a branch
-    // whose loop covers 10% of the run can still hog entry[0] of every
-    // snapshot taken *during* that loop — the paper's anomaly, §III.C).
-    let mut entry0_counts: HashMap<u64, u64> = HashMap::new();
-    let mut appearances: HashMap<u64, u64> = HashMap::new();
-    let mut stacks_containing: HashMap<u64, u64> = HashMap::new();
-    let mut entries_alongside: HashMap<u64, u64> = HashMap::new();
-    let mut stacks = 0u64;
-    let mut seen_in_stack: Vec<u64> = Vec::new();
-    for sample in data.samples_of(event) {
-        if sample.lbr.is_empty() {
-            continue;
-        }
-        stacks += 1;
-        *entry0_counts.entry(sample.lbr[0].from).or_insert(0) += 1;
-        seen_in_stack.clear();
-        for e in &sample.lbr {
-            *appearances.entry(e.from).or_insert(0) += 1;
-            if !seen_in_stack.contains(&e.from) {
-                seen_in_stack.push(e.from);
-            }
-        }
-        for &from in &seen_in_stack {
-            *stacks_containing.entry(from).or_insert(0) += 1;
-            *entries_alongside.entry(from).or_insert(0) += sample.lbr.len() as u64;
-        }
-    }
-    let biased_branches: HashSet<u64> = appearances
-        .iter()
-        .filter(|(addr, &total)| {
-            if total < options.min_branch_occurrences {
-                return false;
-            }
-            let present = stacks_containing.get(addr).copied().unwrap_or(0);
-            let alongside = entries_alongside.get(addr).copied().unwrap_or(0);
-            if present == 0 || alongside == 0 {
-                return false;
-            }
-            // Occupancy and fair share, conditional on presence.
-            let entry0_share =
-                entry0_counts.get(addr).copied().unwrap_or(0) as f64 / present as f64;
-            let fair_share = total as f64 / alongside as f64;
-            entry0_share - fair_share >= options.entry0_excess_threshold
-        })
-        .map(|(&addr, _)| addr)
-        .collect();
-
-    // Pass 2: stream decomposition and attribution.
-    let mut weight: HashMap<u64, f64> = HashMap::new();
-    let mut biased_weight: HashMap<u64, f64> = HashMap::new();
-    let mut derailed = 0u64;
-    let mut streams = 0u64;
-    for sample in data.samples_of(event) {
-        let n = sample.lbr.len();
-        if n < 2 {
-            continue;
-        }
-        let w = 1.0 / (n - 1) as f64;
-        for i in 1..n {
-            streams += 1;
-            let target = sample.lbr[i - 1].to;
-            let source = sample.lbr[i].from;
-            let walk = map.walk_stream_seed(target, source);
-            if walk.derailed {
-                derailed += 1;
-            }
-            let source_biased = biased_branches.contains(&source);
-            for bi in walk.blocks {
-                let start = map.blocks()[bi].start;
-                *weight.entry(start).or_insert(0.0) += w;
-                if source_biased {
-                    *biased_weight.entry(start).or_insert(0.0) += w;
-                }
-            }
-        }
-    }
-
-    let mut bbec = Bbec::new();
-    let mut biased_weight_fraction = HashMap::new();
-    let mut biased_blocks = HashSet::new();
-    for (&start, &w) in &weight {
-        bbec.set(start, w * period as f64);
-        let bw = biased_weight.get(&start).copied().unwrap_or(0.0);
-        let frac = if w > 0.0 { bw / w } else { 0.0 };
-        biased_weight_fraction.insert(start, frac);
-        if frac >= options.biased_weight_threshold {
-            biased_blocks.insert(start);
-        }
-    }
-    let dense = DenseBbec::from_bbec(&bbec, map);
-    let biased_idx = (0..map.len())
-        .map(|bi| biased_blocks.contains(&map.blocks()[bi].start))
-        .collect();
-    LbrEstimate {
-        bbec,
-        dense,
-        biased_blocks,
-        biased_idx,
-        biased_branches,
-        biased_weight_fraction,
-        stacks,
-        derailed_streams: derailed,
-        streams,
-        period,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Analyzer, HybridRule, SamplingPeriods};
     use hbbp_isa::instruction::build;
     use hbbp_isa::{Mnemonic, Reg};
-    use hbbp_perf::{PerfRecord, PerfSample};
+    use hbbp_perf::{PerfData, PerfRecord, PerfSample};
     use hbbp_program::{ImageView, Layout, ProgramBuilder, Ring, TextImage};
-    use hbbp_sim::LbrEntry;
+    use hbbp_sim::EventSpec;
+
+    /// The LBR estimate of a whole recording.
+    fn whole_run_lbr(
+        data: &PerfData,
+        map: &BlockMap,
+        period: u64,
+        options: &LbrOptions,
+    ) -> LbrEstimate {
+        let periods = SamplingPeriods {
+            ebs: 1,
+            lbr: period,
+        };
+        Analyzer::from_map(map.clone(), HashMap::new())
+            .with_lbr_options(options.clone())
+            .analyze_fused(data, periods, &HybridRule::paper_default())
+            .lbr
+    }
 
     /// Loop program: head (4+1 instrs, self-loop) then exit.
     struct Fixture {
@@ -704,7 +539,7 @@ mod tests {
         // One 5-entry stack of pure loop iterations: 4 streams × 1/4 = 1.
         let mut data = PerfData::new();
         data.push(stack_sample(vec![loop_entry(&fx); 5]));
-        let est = estimate(&data, &fx.map, 700, &LbrOptions::default());
+        let est = whole_run_lbr(&data, &fx.map, 700, &LbrOptions::default());
         assert_eq!(est.stacks, 1);
         assert_eq!(est.streams, 4);
         assert_eq!(est.derailed_streams, 0);
@@ -719,7 +554,7 @@ mod tests {
         for _ in 0..40 {
             data.push(stack_sample(vec![loop_entry(&fx); 8]));
         }
-        let est = estimate(&data, &fx.map, 100, &LbrOptions::default());
+        let est = whole_run_lbr(&data, &fx.map, 100, &LbrOptions::default());
         // entry0 share = 40 appearances at entry0 / 320 total = 12.5%… the
         // same branch fills the whole stack, so share = 1/8 = 0.125 < 0.25:
         // NOT biased (a uniformly hot branch is not bias).
@@ -750,7 +585,7 @@ mod tests {
                 data.push(stack_sample(vec![b, b, b, a, b, b]));
             }
         }
-        let est = estimate(&data, &fx.map, 100, &LbrOptions::default());
+        let est = whole_run_lbr(&data, &fx.map, 100, &LbrOptions::default());
         assert!(est.biased_branches.contains(&a.from), "A must be biased");
         assert!(!est.biased_branches.contains(&b.from));
         // Blocks fed by A-terminated streams get the flag when dominant.
@@ -773,7 +608,7 @@ mod tests {
                 to: fx.head_start,
             },
         ]));
-        let est = estimate(&data, &fx.map, 100, &LbrOptions::default());
+        let est = whole_run_lbr(&data, &fx.map, 100, &LbrOptions::default());
         assert_eq!(est.streams, 1);
         assert_eq!(est.derailed_streams, 1);
         assert!(est.derail_fraction() > 0.99);
@@ -784,40 +619,8 @@ mod tests {
         let fx = fixture();
         let mut data = PerfData::new();
         data.push(stack_sample(vec![loop_entry(&fx)]));
-        let est = estimate(&data, &fx.map, 100, &LbrOptions::default());
+        let est = whole_run_lbr(&data, &fx.map, 100, &LbrOptions::default());
         assert_eq!(est.streams, 0);
         assert!(est.bbec.is_empty());
-    }
-
-    #[test]
-    fn index_and_reference_paths_agree() {
-        let fx = fixture();
-        let a = loop_entry(&fx);
-        let b = LbrEntry {
-            from: fx.head_term + 1,
-            to: fx.head_start,
-        };
-        let mut data = PerfData::new();
-        for i in 0..40 {
-            let stack = if i % 3 == 0 {
-                vec![a, b, b, b, a, b]
-            } else if i % 3 == 1 {
-                vec![a; 6]
-            } else {
-                vec![b, a, a, b]
-            };
-            data.push(stack_sample(stack));
-        }
-        let fast = estimate(&data, &fx.map, 250, &LbrOptions::default());
-        let seed = estimate_ref(&data, &fx.map, 250, &LbrOptions::default());
-        assert_eq!(fast.bbec, seed.bbec);
-        assert_eq!(fast.dense, seed.dense);
-        assert_eq!(fast.biased_blocks, seed.biased_blocks);
-        assert_eq!(fast.biased_idx, seed.biased_idx);
-        assert_eq!(fast.biased_branches, seed.biased_branches);
-        assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
-        assert_eq!(fast.stacks, seed.stacks);
-        assert_eq!(fast.streams, seed.streams);
-        assert_eq!(fast.derailed_streams, seed.derailed_streams);
     }
 }

@@ -1,28 +1,33 @@
-//! Online (streaming) analysis with optional windowing.
+//! Online (streaming) analysis with optional windowing — the one sample
+//! dispatcher of the analysis pipeline (paper §V.B).
 //!
-//! [`crate::Analyzer::analyze_fused`] needs the whole recording in memory;
 //! [`OnlineAnalyzer`] consumes one record at a time — straight off a
-//! collection session or a [`hbbp_perf::StreamDecoder`] — and keeps only
-//! what estimation fundamentally requires: the per-branch pass-1
-//! statistics plus owned copies of the LBR stacks of the **current
-//! window**. Memory is bounded by window size, not run length, which is
-//! what makes long-running, phase-varying workloads profileable at all.
+//! collection session, a [`hbbp_perf::StreamDecoder`] or an in-memory
+//! recording — routes each profiled sample to the EBS or LBR estimator by
+//! event, and keeps only what estimation fundamentally requires: the
+//! per-branch pass-1 statistics plus the LBR stacks of the **current
+//! window**. Memory is bounded by window size, not run length.
+//! [`crate::Analyzer::analyze_fused`] is this analyzer, unwindowed, driven
+//! over a recording's records.
 //!
-//! Records arrive either owned ([`OnlineAnalyzer::push_record`] /
-//! [`OnlineAnalyzer::push_owned`]) or as zero-copy
-//! [`hbbp_perf::RecordView`]s ([`OnlineAnalyzer::push_view`]) — the fused
+//! Records arrive borrowed ([`OnlineAnalyzer::push_record`]: the records
+//! outlive the analyzer, so kept stacks are never copied), as zero-copy
+//! [`hbbp_perf::RecordView`]s ([`OnlineAnalyzer::push_view`] — the fused
 //! ingest path, where LBR branch pairs are parsed straight out of the
 //! decoder's wire buffer into pooled stack buffers and no owned
-//! [`PerfRecord`] ever exists. As a [`hbbp_perf::ViewSink`] the analyzer
-//! plugs directly into [`hbbp_perf::StreamDecoder::decode_into`]. All
-//! paths are pinned bit-identical by the property suite.
+//! [`PerfRecord`] ever exists), or owned through the [`RecordSink`]
+//! adapter (stacks copied into the same pool). As a
+//! [`hbbp_perf::ViewSink`] the analyzer plugs directly into
+//! [`hbbp_perf::StreamDecoder::decode_into`]. All paths are pinned
+//! bit-identical by the property suite.
 //!
 //! Two consumption modes:
 //!
-//! * **Unwindowed** — one analysis of the whole stream. Pinned
-//!   bit-identical to [`crate::Analyzer::analyze_fused`] by the property
-//!   suite in `crates/core/tests/streaming_equivalence.rs`, under any
-//!   chunking of the record stream.
+//! * **Unwindowed** — one analysis of the whole stream, identical under
+//!   any chunking of the record stream
+//!   (`crates/core/tests/streaming_equivalence.rs`) and pinned
+//!   bit-identical to the seed two-scan pipeline kept in test support
+//!   (`crates/core/tests/dense_equivalence.rs`).
 //! * **Windowed** ([`Window::Samples`] / [`Window::TimeCycles`]) — each
 //!   closed window emits a [`WindowedAnalysis`]: the three estimates, the
 //!   HBBP instruction mix, raw sample tallies and the window bounds. A
@@ -127,14 +132,23 @@ impl OnlineOutcome {
     }
 }
 
-/// Where an incoming LBR stack lives: borrowed (cloned into a pooled
-/// buffer when kept), carved out of an owned record (moved when kept,
-/// dropped otherwise), or already in a pooled buffer filled from a
-/// zero-copy view (returned to the pool when not kept).
-enum StackIn<'s> {
-    Borrowed(&'s [LbrEntry]),
-    Owned(Vec<LbrEntry>),
+/// A kept LBR stack: borrowed from a recording that outlives the analyzer
+/// ([`OnlineAnalyzer::push_record`]), or copied into a pooled buffer
+/// (views and owned records) that returns to the pool when its window
+/// closes.
+#[derive(Debug)]
+enum Stack<'a> {
+    Borrowed(&'a [LbrEntry]),
     Pooled(Vec<LbrEntry>),
+}
+
+impl Stack<'_> {
+    fn entries(&self) -> &[LbrEntry] {
+        match self {
+            Stack::Borrowed(e) => e,
+            Stack::Pooled(e) => e,
+        }
+    }
 }
 
 /// Streaming analyzer: [`push_record`](OnlineAnalyzer::push_record) the
@@ -153,9 +167,9 @@ pub struct OnlineAnalyzer<'a> {
     // Current-window accumulators.
     ebs: EbsAccum<'a>,
     lbr: LbrStats<'a>,
-    stacks: Vec<Vec<LbrEntry>>,
+    stacks: Vec<Stack<'a>>,
     /// Retired stack buffers recycled across windows (and across rejected
-    /// view-path stacks): [`close_window`](OnlineAnalyzer::close_window)
+    /// pooled stacks): [`close_window`](OnlineAnalyzer::close_window)
     /// drains into here instead of freeing, so a long windowed run stops
     /// allocating per stack once past its densest window.
     stack_pool: Vec<Vec<LbrEntry>>,
@@ -253,23 +267,12 @@ impl<'a> OnlineAnalyzer<'a> {
         std::mem::take(&mut self.windows)
     }
 
-    /// Consume one record by reference (LBR stacks are copied into the
-    /// window buffer; use [`push_owned`](OnlineAnalyzer::push_owned) when
-    /// the record can be given away, e.g. from a decoder or a sink).
-    pub fn push_record(&mut self, record: &PerfRecord) {
+    /// Consume one record of a recording that outlives the analyzer:
+    /// kept LBR stacks are borrowed, never copied.
+    pub fn push_record(&mut self, record: &'a PerfRecord) {
         self.records_seen += 1;
         if let PerfRecord::Sample(s) = record {
-            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Borrowed(&s.lbr));
-        }
-    }
-
-    /// Consume one owned record, moving its LBR stack into the window
-    /// buffer instead of cloning it.
-    pub fn push_owned(&mut self, record: PerfRecord) {
-        self.records_seen += 1;
-        if let PerfRecord::Sample(mut s) = record {
-            let lbr = std::mem::take(&mut s.lbr);
-            self.ingest(s.event, s.ip, s.time_cycles, StackIn::Owned(lbr));
+            self.ingest(s.event, s.ip, s.time_cycles, Stack::Borrowed(&s.lbr));
         }
     }
 
@@ -277,26 +280,29 @@ impl<'a> OnlineAnalyzer<'a> {
     /// entries are parsed straight out of the wire buffer into a pooled
     /// stack buffer — the fused ingest path never materializes an owned
     /// `PerfRecord`). Pinned bit-identical to
-    /// [`push_owned`](OnlineAnalyzer::push_owned) of the same record by
+    /// [`push_record`](OnlineAnalyzer::push_record) of the same record by
     /// `crates/core/tests/streaming_equivalence.rs`.
     pub fn push_view(&mut self, view: &RecordView<'_>) {
         self.records_seen += 1;
         if let RecordView::Sample(s) = view {
-            if s.event == self.lbr_event {
-                let mut buf = self.take_pooled();
-                buf.extend(s.lbr_entries());
-                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Pooled(buf));
-            } else if s.event == self.ebs_event {
-                // The EBS estimator discards LBR stacks (paper §V.A), so
-                // the view's entries are never even parsed.
-                self.ingest(s.event, s.ip, s.time_cycles, StackIn::Borrowed(&[]));
-            }
+            let stack = self.pooled_stack(s.event, s.lbr_entries());
+            self.ingest(s.event, s.ip, s.time_cycles, stack);
         }
     }
 
-    /// A cleared stack buffer, reusing a retired one when available.
-    fn take_pooled(&mut self) -> Vec<LbrEntry> {
-        match self.stack_pool.pop() {
+    /// The stack of an `event` sample as it enters the analyzer: a pooled
+    /// copy of `entries` for the LBR event, nothing otherwise — the EBS
+    /// estimator discards LBR stacks (paper §V.A), so theirs are never
+    /// even parsed.
+    fn pooled_stack(
+        &mut self,
+        event: EventSpec,
+        entries: impl Iterator<Item = LbrEntry>,
+    ) -> Stack<'a> {
+        if event != self.lbr_event {
+            return Stack::Borrowed(&[]);
+        }
+        let mut buf = match self.stack_pool.pop() {
             Some(buf) => {
                 self.pool_hits += 1;
                 buf
@@ -305,10 +311,12 @@ impl<'a> OnlineAnalyzer<'a> {
                 self.pool_misses += 1;
                 Vec::new()
             }
-        }
+        };
+        buf.extend(entries);
+        Stack::Pooled(buf)
     }
 
-    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: StackIn<'_>) {
+    fn ingest(&mut self, event: EventSpec, ip: u64, time_cycles: u64, stack: Stack<'a>) {
         let is_ebs = event == self.ebs_event;
         let is_lbr = event == self.lbr_event;
         if !is_ebs && !is_lbr {
@@ -324,23 +332,11 @@ impl<'a> OnlineAnalyzer<'a> {
             self.ebs.observe_ip(ip);
         } else {
             self.win_lbr += 1;
-            let entries: &[LbrEntry] = match &stack {
-                StackIn::Borrowed(e) => e,
-                StackIn::Owned(e) | StackIn::Pooled(e) => e,
-            };
-            if self.lbr.observe_stack(entries) {
-                let kept: Vec<LbrEntry> = match stack {
-                    StackIn::Borrowed(e) => {
-                        let mut buf = self.take_pooled();
-                        buf.extend_from_slice(e);
-                        buf
-                    }
-                    StackIn::Owned(e) | StackIn::Pooled(e) => e,
-                };
-                self.buffered_entries += kept.len();
+            if self.lbr.observe_stack(stack.entries()) {
+                self.buffered_entries += stack.entries().len();
                 self.peak_buffered_entries = self.peak_buffered_entries.max(self.buffered_entries);
-                self.stacks.push(kept);
-            } else if let StackIn::Pooled(mut buf) = stack {
+                self.stacks.push(stack);
+            } else if let Stack::Pooled(mut buf) = stack {
                 buf.clear();
                 self.stack_pool.push(buf);
             }
@@ -368,17 +364,7 @@ impl<'a> OnlineAnalyzer<'a> {
     /// buffers are all recycled into the next window instead of being
     /// reallocated per window.
     fn close_window(&mut self) {
-        let map = self.analyzer.map();
-        let ebs = self.ebs.take_estimate();
-        let lbr = self
-            .lbr
-            .take_estimate(self.stacks.iter().map(|s| s.as_slice()));
-        for mut stack in self.stacks.drain(..) {
-            stack.clear();
-            self.stack_pool.push(stack);
-        }
-        let hbbp = hybrid::combine(map, &ebs, &lbr, &self.rule);
-        let analysis = Analysis { ebs, lbr, hbbp };
+        let analysis = self.take_analysis();
         let mix = self.analyzer.mix(&analysis.hbbp.bbec);
         let (start_cycles, end_cycles) = match (self.window, self.time_key) {
             (Some(Window::TimeCycles(width)), Some(key)) => (key * width, (key + 1) * width),
@@ -403,6 +389,31 @@ impl<'a> OnlineAnalyzer<'a> {
         self.buffered_entries = 0;
     }
 
+    /// The three estimates of the current window's samples; resets the
+    /// accumulators and returns pooled stack buffers to the pool.
+    fn take_analysis(&mut self) -> Analysis {
+        let ebs = self.ebs.take_estimate();
+        let lbr = self
+            .lbr
+            .take_estimate(self.stacks.iter().map(Stack::entries));
+        for stack in self.stacks.drain(..) {
+            if let Stack::Pooled(mut buf) = stack {
+                buf.clear();
+                self.stack_pool.push(buf);
+            }
+        }
+        let hbbp = hybrid::combine(self.analyzer.map(), &ebs, &lbr, &self.rule);
+        Analysis { ebs, lbr, hbbp }
+    }
+
+    /// Batch analysis ([`Analyzer::analyze_fused`]): the whole stream's
+    /// estimates of an unwindowed run, without the instruction mix a
+    /// closed window also carries.
+    pub(crate) fn into_analysis(mut self) -> Analysis {
+        debug_assert!(self.window.is_none(), "batch analysis is unwindowed");
+        self.take_analysis()
+    }
+
     /// End the stream: close the open window (an unwindowed run always
     /// emits its single whole-stream window, even when empty) and return
     /// everything produced.
@@ -423,9 +434,15 @@ impl<'a> OnlineAnalyzer<'a> {
     }
 }
 
+/// The owned-record adapter: stacks are copied into pooled buffers, like
+/// views.
 impl RecordSink for OnlineAnalyzer<'_> {
     fn record(&mut self, record: PerfRecord) {
-        self.push_owned(record);
+        self.records_seen += 1;
+        if let PerfRecord::Sample(s) = &record {
+            let stack = self.pooled_stack(s.event, s.lbr.iter().copied());
+            self.ingest(s.event, s.ip, s.time_cycles, stack);
+        }
     }
 }
 
@@ -552,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn push_owned_matches_push_record() {
+    fn owned_records_match_borrowed_records() {
         let fx = fixture();
         let data = mixed_stream(&fx);
         let analyzer = &fx.0;
@@ -560,7 +577,7 @@ mod tests {
             let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
             for r in data.records() {
                 if owned {
-                    online.push_owned(r.clone());
+                    online.record(r.clone());
                 } else {
                     online.push_record(r);
                 }
@@ -590,9 +607,10 @@ mod tests {
         // mistaken for an unwindowed whole-stream analysis.
         let fx = fixture();
         let (_, s_start, ..) = fx;
+        let record = ebs_at(s_start, 5);
         let mut online = OnlineAnalyzer::new(&fx.0, periods(), HybridRule::paper_default())
             .with_window(Window::TimeCycles(1_000_000));
-        online.push_record(&ebs_at(s_start, 5));
+        online.push_record(&record);
         let outcome = online.finish();
         assert!(outcome.windowed);
         assert_eq!(outcome.windows.len(), 1);
@@ -604,10 +622,11 @@ mod tests {
         let fx = fixture();
         let (_, s_start, ..) = fx;
         let analyzer = &fx.0;
+        let records: Vec<_> = (0..23u64).map(|i| ebs_at(s_start, i)).collect();
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
             .with_window(Window::Samples(7));
-        for i in 0..23u64 {
-            online.push_record(&ebs_at(s_start, i));
+        for r in &records {
+            online.push_record(r);
         }
         let outcome = online.finish();
         // 23 samples in windows of 7: 7 + 7 + 7 + 2.
@@ -623,11 +642,12 @@ mod tests {
         let fx = fixture();
         let (_, s_start, ..) = fx;
         let analyzer = &fx.0;
+        // Samples in windows 0, 0, 2 (window 1 is an empty gap).
+        let records: Vec<_> = [10u64, 90, 250].map(|t| ebs_at(s_start, t)).into();
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
             .with_window(Window::TimeCycles(100));
-        // Samples in windows 0, 0, 2 (window 1 is an empty gap).
-        for t in [10u64, 90, 250] {
-            online.push_record(&ebs_at(s_start, t));
+        for r in &records {
+            online.push_record(r);
         }
         let outcome = online.finish();
         assert_eq!(outcome.windows.len(), 2);
@@ -654,18 +674,19 @@ mod tests {
         let fx = fixture();
         let (_, s_start, s_term, l_start, l_term) = fx;
         let analyzer = &fx.0;
+        // Phase 1 (t < 1000): short-loop activity (ADDs via LBR).
+        let mut records: Vec<_> = (0..20u64)
+            .map(|i| lbr_at(s_term, s_start, 5, i * 40))
+            .collect();
+        // Phase 2 (t >= 1000): long-loop activity (SUBs via EBS).
+        records.extend((0..20u64).map(|i| ebs_at(l_start, 1000 + i * 40)));
+        // LBR evidence for the long block too, so the hybrid has choices.
+        records.push(lbr_at(l_term, l_start, 5, 1990));
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
             .with_window(Window::TimeCycles(1000));
-        // Phase 1 (t < 1000): short-loop activity (ADDs via LBR).
-        for i in 0..20u64 {
-            online.push_record(&lbr_at(s_term, s_start, 5, i * 40));
+        for r in &records {
+            online.push_record(r);
         }
-        // Phase 2 (t >= 1000): long-loop activity (SUBs via EBS).
-        for i in 0..20u64 {
-            online.push_record(&ebs_at(l_start, 1000 + i * 40));
-        }
-        // LBR evidence for the long block too, so the hybrid has choices.
-        online.push_record(&lbr_at(l_term, l_start, 5, 1990));
         let outcome = online.finish();
         assert_eq!(outcome.windows.len(), 2);
         let w0 = &outcome.windows[0];
@@ -681,13 +702,16 @@ mod tests {
         let fx = fixture();
         let (_, s_start, s_term, ..) = fx;
         let analyzer = &fx.0;
+        let records: Vec<_> = (0..200u64)
+            .map(|i| lbr_at(s_term, s_start, 8, i * 10))
+            .collect();
         let run = |window: Option<Window>| {
             let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default());
             if let Some(w) = window {
                 online = online.with_window(w);
             }
-            for i in 0..200u64 {
-                online.push_record(&lbr_at(s_term, s_start, 8, i * 10));
+            for r in &records {
+                online.push_record(r);
             }
             online.finish().peak_buffered_entries
         };
@@ -720,11 +744,12 @@ mod tests {
         let fx = fixture();
         let (_, s_start, ..) = fx;
         let analyzer = &fx.0;
+        let records: Vec<_> = (0..23u64).map(|i| ebs_at(s_start, i)).collect();
         let run_undrained = || {
             let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
                 .with_window(Window::Samples(5));
-            for i in 0..23u64 {
-                online.push_record(&ebs_at(s_start, i));
+            for r in &records {
+                online.push_record(r);
             }
             online.finish()
         };
@@ -733,8 +758,8 @@ mod tests {
         let mut online = OnlineAnalyzer::new(analyzer, periods(), HybridRule::paper_default())
             .with_window(Window::Samples(5));
         let mut drained = Vec::new();
-        for i in 0..23u64 {
-            online.push_record(&ebs_at(s_start, i));
+        for (i, r) in records.iter().enumerate() {
+            online.push_record(r);
             if i % 7 == 0 {
                 drained.extend(online.take_closed_windows());
             }
@@ -759,9 +784,10 @@ mod tests {
     fn draining_an_unwindowed_run_yields_nothing_early() {
         let fx = fixture();
         let (_, s_start, ..) = fx;
+        let records: Vec<_> = (0..10u64).map(|i| ebs_at(s_start, i)).collect();
         let mut online = OnlineAnalyzer::new(&fx.0, periods(), HybridRule::paper_default());
-        for i in 0..10u64 {
-            online.push_record(&ebs_at(s_start, i));
+        for r in &records {
+            online.push_record(r);
         }
         assert!(online.take_closed_windows().is_empty());
         assert_eq!(online.windows_closed(), 0);

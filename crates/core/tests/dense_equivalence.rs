@@ -1,9 +1,13 @@
-//! Equivalence property tests: the dense block-index estimator pipeline
-//! (and the fused single-pass analyzer built on it) must produce
-//! **bit-identical** results to the seed address-keyed implementations on
-//! arbitrary sample streams — mapped, unmapped, derailing and biased alike.
+//! Equivalence property tests: the analysis engine — block-index
+//! estimators driven by the single-pass online analyzer, which is what
+//! [`Analyzer::analyze_fused`] runs — must produce **bit-identical**
+//! results to the seed address-keyed implementations (the oracle in
+//! `support/`) on arbitrary sample streams — mapped, unmapped, derailing
+//! and biased alike.
 
-use hbbp_core::{ebs, hybrid, lbr, Analyzer, HybridRule, LbrOptions, SamplingPeriods};
+mod support;
+
+use hbbp_core::{hybrid, Analysis, Analyzer, HybridRule, LbrOptions, SamplingPeriods};
 use hbbp_isa::instruction::build;
 use hbbp_isa::{Mnemonic, Reg};
 use hbbp_perf::{PerfData, PerfRecord, PerfSample};
@@ -127,6 +131,13 @@ fn arb_stacks() -> impl Strategy<Value = Vec<Vec<(usize, usize)>>> {
     )
 }
 
+/// The production analysis of `data` over the fixture's map.
+fn analyze(fx: &Fx, data: &PerfData, periods: SamplingPeriods, options: LbrOptions) -> Analysis {
+    Analyzer::from_map(fx.map.clone(), HashMap::new())
+        .with_lbr_options(options)
+        .analyze_fused(data, periods, &HybridRule::paper_default())
+}
+
 /// Loose LBR options so the bias machinery actually fires on small inputs.
 fn twitchy_options() -> LbrOptions {
     LbrOptions {
@@ -139,7 +150,7 @@ fn twitchy_options() -> LbrOptions {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// `ebs::estimate` (index path) ≡ `ebs::estimate_ref` (seed path).
+    /// The engine's EBS estimate (index path) ≡ the seed EBS estimator.
     #[test]
     fn ebs_dense_path_matches_seed(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -148,8 +159,9 @@ proptest! {
     ) {
         let fx = fixture(&bodies);
         let data = build_data(&fx, &ips, &[]);
-        let fast = ebs::estimate(&data, &fx.map, period);
-        let seed = ebs::estimate_ref(&data, &fx.map, period);
+        let periods = SamplingPeriods { ebs: period, lbr: 1 };
+        let fast = analyze(&fx, &data, periods, LbrOptions::default()).ebs;
+        let seed = support::ebs_estimate_ref(&data, &fx.map, period);
         prop_assert_eq!(&fast.bbec, &seed.bbec);
         prop_assert_eq!(&fast.dense, &seed.dense);
         prop_assert_eq!(&fast.samples_per_block, &seed.samples_per_block);
@@ -162,7 +174,7 @@ proptest! {
         }
     }
 
-    /// `lbr::estimate` (index path) ≡ `lbr::estimate_ref` (seed path),
+    /// The engine's LBR estimate (index path) ≡ the seed LBR estimator,
     /// including all bias statistics.
     #[test]
     fn lbr_dense_path_matches_seed(
@@ -173,8 +185,9 @@ proptest! {
         let fx = fixture(&bodies);
         let data = build_data(&fx, &[], &stacks);
         let options = twitchy_options();
-        let fast = lbr::estimate(&data, &fx.map, period, &options);
-        let seed = lbr::estimate_ref(&data, &fx.map, period, &options);
+        let periods = SamplingPeriods { ebs: 1, lbr: period };
+        let fast = analyze(&fx, &data, periods, options.clone()).lbr;
+        let seed = support::lbr_estimate_ref(&data, &fx.map, period, &options);
         prop_assert_eq!(&fast.bbec, &seed.bbec);
         prop_assert_eq!(&fast.dense, &seed.dense);
         prop_assert_eq!(&fast.biased_blocks, &seed.biased_blocks);
@@ -207,19 +220,15 @@ proptest! {
         let periods = SamplingPeriods { ebs: ebs_period, lbr: lbr_period };
         let rule = HybridRule::LengthCutoff(cutoff);
         let fused = analyzer.analyze_fused(&data, periods, &rule);
-        let seed = analyzer.analyze_ref(&data, periods, &rule);
+        let seed = support::analyze_ref(&analyzer, &data, periods, &rule);
         prop_assert_eq!(&fused.ebs.bbec, &seed.ebs.bbec);
         prop_assert_eq!(&fused.lbr.bbec, &seed.lbr.bbec);
         prop_assert_eq!(&fused.hbbp.bbec, &seed.hbbp.bbec);
         prop_assert_eq!(&fused.hbbp.dense, &seed.hbbp.dense);
         prop_assert_eq!(&fused.hbbp.choices, &seed.hbbp.choices);
-        // `analyze` is a thin wrapper over the fused path.
-        let via_analyze = analyzer.analyze(&data, periods, &rule);
-        prop_assert_eq!(&via_analyze.hbbp.bbec, &fused.hbbp.bbec);
-        prop_assert_eq!(&via_analyze.hbbp.choices, &fused.hbbp.choices);
     }
 
-    /// `hybrid::combine` on dense estimates ≡ `hybrid::combine_ref` on the
+    /// `hybrid::combine` on dense estimates ≡ the seed combination on the
     /// same estimates, across every rule variant.
     #[test]
     fn combine_dense_matches_seed(
@@ -230,18 +239,84 @@ proptest! {
     ) {
         let fx = fixture(&bodies);
         let data = build_data(&fx, &ips, &stacks);
-        let e = ebs::estimate(&data, &fx.map, 1000);
-        let l = lbr::estimate(&data, &fx.map, 300, &twitchy_options());
+        let periods = SamplingPeriods { ebs: 1000, lbr: 300 };
+        let Analysis { ebs: e, lbr: l, .. } = analyze(&fx, &data, periods, twitchy_options());
         for rule in [
             HybridRule::LengthCutoff(cutoff),
             HybridRule::AlwaysEbs,
             HybridRule::AlwaysLbr,
         ] {
             let fast = hybrid::combine(&fx.map, &e, &l, &rule);
-            let seed = hybrid::combine_ref(&fx.map, &e, &l, &rule);
+            let seed = support::combine_ref(&fx.map, &e, &l, &rule);
             prop_assert_eq!(&fast.bbec, &seed.bbec);
             prop_assert_eq!(&fast.dense, &seed.dense);
             prop_assert_eq!(&fast.choices, &seed.choices);
         }
     }
+}
+
+/// A fixed EBS stream over a one-loop map: the index path and the seed
+/// path agree on every field, and `count_idx` reads the same value as
+/// the address-keyed `count`.
+#[test]
+fn ebs_index_and_reference_paths_agree() {
+    let fx = fixture(&[4]);
+    let head = &fx.map.blocks()[0];
+    let mut data = PerfData::new();
+    for ip in [
+        head.start,
+        head.start + 1,
+        0xdead_beef,
+        head.start,
+        head.terminator_addr(),
+    ] {
+        data.push(ebs_sample(ip));
+    }
+    let periods = SamplingPeriods { ebs: 733, lbr: 1 };
+    let fast = analyze(&fx, &data, periods, LbrOptions::default()).ebs;
+    let seed = support::ebs_estimate_ref(&data, &fx.map, 733);
+    assert_eq!(fast.bbec, seed.bbec);
+    assert_eq!(fast.dense, seed.dense);
+    assert_eq!(fast.samples_per_block, seed.samples_per_block);
+    assert_eq!(fast.samples_used, seed.samples_used);
+    assert_eq!(fast.samples_unmapped, seed.samples_unmapped);
+    assert_eq!(fast.count_idx(0), fast.count(head.start));
+}
+
+/// A fixed LBR stream mixing a mapped loop branch with an unmapped one
+/// (under default bias options): the index path and the seed path agree
+/// on every field.
+#[test]
+fn lbr_index_and_reference_paths_agree() {
+    let fx = fixture(&[4]);
+    let head = &fx.map.blocks()[0];
+    let a = LbrEntry {
+        from: head.terminator_addr(),
+        to: head.start,
+    };
+    let b = LbrEntry {
+        from: head.terminator_addr() + 1,
+        to: head.start,
+    };
+    let mut data = PerfData::new();
+    for i in 0..40 {
+        let stack = match i % 3 {
+            0 => vec![a, b, b, b, a, b],
+            1 => vec![a; 6],
+            _ => vec![b, a, a, b],
+        };
+        data.push(lbr_sample(stack));
+    }
+    let periods = SamplingPeriods { ebs: 1, lbr: 250 };
+    let fast = analyze(&fx, &data, periods, LbrOptions::default()).lbr;
+    let seed = support::lbr_estimate_ref(&data, &fx.map, 250, &LbrOptions::default());
+    assert_eq!(fast.bbec, seed.bbec);
+    assert_eq!(fast.dense, seed.dense);
+    assert_eq!(fast.biased_blocks, seed.biased_blocks);
+    assert_eq!(fast.biased_idx, seed.biased_idx);
+    assert_eq!(fast.biased_branches, seed.biased_branches);
+    assert_eq!(fast.biased_weight_fraction, seed.biased_weight_fraction);
+    assert_eq!(fast.stacks, seed.stacks);
+    assert_eq!(fast.streams, seed.streams);
+    assert_eq!(fast.derailed_streams, seed.derailed_streams);
 }

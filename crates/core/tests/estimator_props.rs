@@ -1,6 +1,6 @@
 //! Property tests for the HBBP estimators and error metrics.
 
-use hbbp_core::{ebs, errors::MixComparison, hybrid, lbr, HybridRule, LbrOptions};
+use hbbp_core::{errors::MixComparison, hybrid, Analysis, Analyzer, HybridRule, SamplingPeriods};
 use hbbp_isa::instruction::build;
 use hbbp_isa::{Mnemonic, Reg};
 use hbbp_perf::{PerfData, PerfRecord, PerfSample};
@@ -68,6 +68,15 @@ fn lbr_sample(entries: Vec<LbrEntry>) -> PerfRecord {
     })
 }
 
+/// The whole-recording analysis of `data` over the fixture's map.
+fn analyze(fx: &Fx, data: &PerfData, periods: SamplingPeriods) -> Analysis {
+    Analyzer::from_map(fx.map.clone(), Default::default()).analyze_fused(
+        data,
+        periods,
+        &HybridRule::paper_default(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -83,7 +92,7 @@ proptest! {
         for _ in 0..n_samples {
             data.push(ebs_sample(fx.head_start));
         }
-        let est = ebs::estimate(&data, &fx.map, period);
+        let est = analyze(&fx, &data, SamplingPeriods { ebs: period, lbr: 1 }).ebs;
         let expected = n_samples as f64 * period as f64 / fx.head_len as f64;
         prop_assert!((est.count(fx.head_start) - expected).abs() < 1e-6);
         prop_assert_eq!(est.samples_used, n_samples as u64);
@@ -104,7 +113,7 @@ proptest! {
         for _ in 0..n_stacks {
             data.push(lbr_sample(vec![e; stack_len]));
         }
-        let est = lbr::estimate(&data, &fx.map, period, &LbrOptions::default());
+        let est = analyze(&fx, &data, SamplingPeriods { ebs: 1, lbr: period }).lbr;
         let expected = n_stacks as f64 * period as f64;
         prop_assert!(
             (est.bbec.total() - expected).abs() < 1e-6,
@@ -131,8 +140,8 @@ proptest! {
         for _ in 0..stacks {
             data.push(lbr_sample(vec![e; 8]));
         }
-        let est_e = ebs::estimate(&data, &fx.map, 1000);
-        let est_l = lbr::estimate(&data, &fx.map, 300, &LbrOptions::default());
+        let Analysis { ebs: est_e, lbr: est_l, .. } =
+            analyze(&fx, &data, SamplingPeriods { ebs: 1000, lbr: 300 });
         let h = hybrid::combine(&fx.map, &est_e, &est_l, &HybridRule::LengthCutoff(cutoff));
         let he = h.count(fx.head_start);
         let a = est_e.count(fx.head_start);

@@ -5,14 +5,14 @@
 //! must partition the stream (window sums equal whole-run totals) and each
 //! window must equal the batch analysis of exactly its slice. The fused
 //! zero-copy ingest ([`StreamDecoder::decode_into`] driving
-//! [`OnlineAnalyzer::push_view`]) must match the owned
-//! `next_record`+`push_owned` path bit-for-bit on the same byte stream,
-//! windowed and unwindowed alike.
+//! [`OnlineAnalyzer::push_view`]) must match the owned path
+//! (`next_record` into the analyzer's [`RecordSink`] adapter) bit-for-bit
+//! on the same byte stream, windowed and unwindowed alike.
 
 use hbbp_core::{Analyzer, HybridRule, LbrOptions, OnlineAnalyzer, SamplingPeriods, Window};
 use hbbp_isa::instruction::build;
 use hbbp_isa::{Mnemonic, Reg};
-use hbbp_perf::{codec, PerfData, PerfRecord, PerfSample, StreamDecoder};
+use hbbp_perf::{codec, PerfData, PerfRecord, PerfSample, RecordSink, StreamDecoder};
 use hbbp_program::{BlockMap, ImageView, Layout, ProgramBuilder, Ring, TextImage};
 use hbbp_sim::{EventSpec, LbrEntry};
 use proptest::prelude::*;
@@ -208,7 +208,7 @@ proptest! {
     }
 
     /// The full wire path — encode, split into random byte chunks, stream
-    /// decode, push owned records — ≡ `analyze_fused` on the original.
+    /// decode, sink owned records — ≡ `analyze_fused` on the original.
     #[test]
     fn chunked_wire_stream_matches_batch(
         bodies in proptest::collection::vec(1usize..28, 1..5),
@@ -236,7 +236,7 @@ proptest! {
             decoder.feed(&bytes[prev..p]);
             prev = p;
             while let Some(record) = decoder.next_record().expect("valid stream") {
-                online.push_owned(record);
+                online.record(record);
             }
         }
         decoder.finish().expect("clean end of stream");
@@ -320,7 +320,7 @@ proptest! {
     }
 
     /// The fused zero-copy ingest — `decode_into` handing borrowed views
-    /// straight to the analyzer — ≡ the owned `push_owned` path ≡
+    /// straight to the analyzer — ≡ the owned `RecordSink` path ≡
     /// `analyze_fused`, under any chunking of the wire bytes.
     #[test]
     fn fused_wire_stream_matches_owned_and_batch(
@@ -353,7 +353,7 @@ proptest! {
             fused_dec.decode_into(&mut fused).expect("valid stream");
             owned_dec.feed(&bytes[prev..p]);
             while let Some(record) = owned_dec.next_record().expect("valid stream") {
-                owned.push_owned(record);
+                owned.record(record);
             }
             prev = p;
         }
@@ -402,7 +402,7 @@ proptest! {
             fused_dec.decode_into(&mut fused).expect("valid stream");
             owned_dec.feed(&bytes[prev..p]);
             while let Some(record) = owned_dec.next_record().expect("valid stream") {
-                owned.push_owned(record);
+                owned.record(record);
             }
             prev = p;
         }

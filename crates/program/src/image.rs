@@ -564,22 +564,15 @@ impl BlockMap {
         (addr < self.blocks[idx].end()).then_some(idx)
     }
 
-    /// Reference lookup over the full sorted block vector (the seed
-    /// implementation, a whole-map binary search per call). Kept as the
-    /// oracle for the page index — `enclosing` must agree with it on every
-    /// address — and as the baseline the `BENCH_pipeline.json` perf
-    /// trajectory measures the indexed pipeline against.
-    pub fn enclosing_seed(&self, addr: u64) -> Option<usize> {
+    /// Oracle for the page index: a whole-map binary search that
+    /// `enclosing` must agree with on every address.
+    fn enclosing_unindexed(&self, addr: u64) -> Option<usize> {
         let pos = self.blocks.partition_point(|b| b.start <= addr);
         if pos == 0 {
             return None;
         }
         let idx = pos - 1;
         (addr < self.blocks[idx].end()).then_some(idx)
-    }
-
-    fn enclosing_unindexed(&self, addr: u64) -> Option<usize> {
-        self.enclosing_seed(addr)
     }
 
     /// A stateful lookup handle exploiting sample locality (last-hit
@@ -633,57 +626,6 @@ impl BlockMap {
             return true;
         };
         self.walk_from(idx, target, source, covered)
-    }
-
-    /// Seed-faithful stream walk: whole-map binary searches for the target
-    /// lookup and for every mid-stream block transition (`at_start`), with
-    /// a fresh allocation per call — exactly the seed implementation.
-    /// Same results as [`BlockMap::walk_stream`]; kept for the reference
-    /// estimators the perf trajectory benchmark compares against.
-    pub fn walk_stream_seed(&self, target: u64, source: u64) -> StreamWalk {
-        let mut covered = Vec::new();
-        let Some(mut idx) = self.enclosing_seed(target) else {
-            return StreamWalk {
-                blocks: covered,
-                derailed: true,
-            };
-        };
-        if source < target {
-            return StreamWalk {
-                blocks: covered,
-                derailed: true,
-            };
-        }
-        loop {
-            let block = &self.blocks[idx];
-            covered.push(idx);
-            if source >= block.start && source < block.end() {
-                return StreamWalk {
-                    blocks: covered,
-                    derailed: false,
-                };
-            }
-            let consistent = match block.term_kind {
-                Some(BranchKind::Conditional) | None => true,
-                Some(BranchKind::Unconditional) => block.term_target == Some(block.end()),
-                Some(BranchKind::Call) | Some(BranchKind::Return) => false,
-            };
-            if !consistent {
-                return StreamWalk {
-                    blocks: covered,
-                    derailed: true,
-                };
-            }
-            match self.at_start(block.end()) {
-                Some(next) => idx = next,
-                None => {
-                    return StreamWalk {
-                        blocks: covered,
-                        derailed: true,
-                    }
-                }
-            }
-        }
     }
 
     /// Shared walk body: `idx` must be the block enclosing `target`.

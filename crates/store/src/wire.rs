@@ -323,17 +323,33 @@ pub(crate) fn encode_mix(entries: &[(Mnemonic, f64)]) -> Vec<u8> {
     buf.to_vec()
 }
 
+/// Reject a reply whose entry count claims more bytes than it carries —
+/// before anything is allocated for the entries, so a hostile count
+/// cannot reserve memory.
+fn check_entries(
+    reply: &str,
+    n: usize,
+    entry_len: usize,
+    remaining: usize,
+) -> Result<(), WireError> {
+    let need = n.saturating_mul(entry_len);
+    if need > remaining {
+        return Err(WireError::Protocol(format!(
+            "{reply} reply cut short: {n} entries need {need} bytes, {remaining} present"
+        )));
+    }
+    Ok(())
+}
+
 pub(crate) fn decode_mix_entries(mut p: &[u8]) -> Result<Vec<(Mnemonic, f64)>, WireError> {
     let bad = |m: &str| WireError::Protocol(m.into());
     if p.remaining() < 4 {
         return Err(bad("mix reply too short"));
     }
     let n = p.get_u32_le() as usize;
+    check_entries("mix", n, 10, p.remaining())?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if p.remaining() < 10 {
-            return Err(bad("mix entry cut short"));
-        }
         let opcode = p.get_u16_le();
         let mnemonic = Mnemonic::from_opcode(opcode)
             .ok_or_else(|| bad(&format!("unknown mnemonic opcode {opcode}")))?;
@@ -413,11 +429,9 @@ pub(crate) fn decode_epoch_entries(mut p: &[u8]) -> Result<Vec<EpochStats>, Wire
         return Err(bad("epochs reply too short"));
     }
     let n = p.get_u32_le() as usize;
+    check_entries("epochs", n, 24, p.remaining())?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        if p.remaining() < 24 {
-            return Err(bad("epoch entry cut short"));
-        }
         out.push(EpochStats {
             epoch: p.get_u32_le(),
             counts_frames: p.get_u32_le(),
@@ -639,9 +653,7 @@ impl StoreClient {
             writer_queues: Vec::new(),
         };
         let n = p.get_u32_le() as usize;
-        if p.remaining() < n * 8 {
-            return Err(WireError::Protocol("stats queue entries cut short".into()));
-        }
+        check_entries("stats", n, 8, p.remaining())?;
         for _ in 0..n {
             stats.writer_queues.push(ShardQueueDepth {
                 current: p.get_u32_le(),
@@ -681,5 +693,98 @@ impl StoreClient {
     pub fn shutdown(&self) -> Result<(), WireError> {
         let (op, _) = self.request(OP_SHUTDOWN, &[])?;
         self.expect(op, RESP_OK)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn protocol_error(r: Result<impl std::fmt::Debug, WireError>) -> String {
+        match r {
+            Err(WireError::Protocol(m)) => m,
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    fn epochs() -> Vec<EpochStats> {
+        vec![
+            EpochStats {
+                epoch: 0,
+                counts_frames: 3,
+                ebs_samples: 1_000,
+                lbr_samples: 200,
+            },
+            EpochStats {
+                epoch: 2,
+                counts_frames: 1,
+                ebs_samples: u64::MAX,
+                lbr_samples: 0,
+            },
+        ]
+    }
+
+    #[test]
+    fn mix_entries_round_trip() {
+        let entries = vec![
+            (Mnemonic::Add, 12.5),
+            (Mnemonic::Addps, 0.0),
+            (Mnemonic::Syscall, f64::MAX),
+        ];
+        let decoded = decode_mix_entries(&encode_mix(&entries)).unwrap();
+        assert_eq!(decoded, entries);
+        assert!(decode_mix_entries(&encode_mix(&[])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn epoch_entries_round_trip() {
+        let entries = epochs();
+        assert_eq!(
+            decode_epoch_entries(&encode_epochs(&entries)).unwrap(),
+            entries
+        );
+        assert!(decode_epoch_entries(&encode_epochs(&[]))
+            .unwrap()
+            .is_empty());
+    }
+
+    #[test]
+    fn truncated_mix_reply_is_rejected() {
+        let bytes = encode_mix(&[(Mnemonic::Add, 1.0), (Mnemonic::Sub, 2.0)]);
+        assert_eq!(
+            protocol_error(decode_mix_entries(&bytes[..bytes.len() - 1])),
+            "mix reply cut short: 2 entries need 20 bytes, 19 present"
+        );
+        assert_eq!(
+            protocol_error(decode_mix_entries(&bytes[..3])),
+            "mix reply too short"
+        );
+    }
+
+    #[test]
+    fn truncated_epochs_reply_is_rejected() {
+        let bytes = encode_epochs(&epochs());
+        assert_eq!(
+            protocol_error(decode_epoch_entries(&bytes[..bytes.len() - 5])),
+            "epochs reply cut short: 2 entries need 48 bytes, 43 present"
+        );
+        assert_eq!(
+            protocol_error(decode_epoch_entries(&bytes[..2])),
+            "epochs reply too short"
+        );
+    }
+
+    #[test]
+    fn oversized_entry_counts_fail_before_allocating() {
+        // A bare count of u32::MAX would reserve tens of GiB if trusted.
+        let count = [0xff; 4];
+        assert_eq!(
+            protocol_error(decode_mix_entries(&count)),
+            "mix reply cut short: 4294967295 entries need 42949672950 bytes, 0 present"
+        );
+        assert_eq!(
+            protocol_error(decode_epoch_entries(&count)),
+            "epochs reply cut short: 4294967295 entries need 103079215080 bytes, 0 present"
+        );
     }
 }
