@@ -135,7 +135,7 @@ catalog!(Counter, MetricKind::Counter, COUNTERS;
     WorkerConnTicks => { "worker.conn_ticks", "", false,
         "per-connection state-machine steps across all workers" },
     WorkerSleeps => { "worker.sleeps", "", false,
-        "idle sleeps taken after a tick with no progress" },
+        "idle parks after a tick with no progress" },
     WorkerReadBudgetExhausted => { "worker.read_budget_exhausted", "", false,
         "read passes cut off by the per-tick fairness budget" },
     WorkerParks => { "worker.parks", "", false,

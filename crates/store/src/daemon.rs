@@ -34,19 +34,25 @@
 //! should treat it as an observability stream, not as proof of a
 //! complete recording.
 //!
+//! Every handoff wakes its consumer: the acceptor unparks the worker it
+//! deals a connection to, and a shard writer unparks the worker whose
+//! request it just answered. Workers park between ticks — bounded by
+//! the idle poll interval while they hold connections, untimed while
+//! they hold none.
+//!
 //! Shutdown ordering (each arrow is "unblocks / joins"): a client's
 //! SHUTDOWN sets the flag and pokes the acceptor → the acceptor stops
-//! accepting and drops the worker inboxes → workers drain their live
-//! connections (force-dropping stragglers after a grace period) and
-//! drop their writer senders → writers drain their queues, commit their
-//! tails and exit → the acceptor joins workers, then writers → the
-//! [`DaemonHandle`] joins the acceptor.
+//! accepting, drops the worker inboxes and unparks every worker →
+//! workers drain their live connections (force-dropping stragglers
+//! after a grace period) and drop their writer senders → writers drain
+//! their queues, commit their tails and exit → the acceptor joins
+//! workers, then writers → the [`DaemonHandle`] joins the acceptor.
 
 use crate::frame::StoreIdentity;
 use crate::server::worker_loop;
 use crate::store::{ProfileStore, StoreError};
 use crate::wire::{StoreClient, WireError};
-use crate::writer::{writer_loop, WriterMsg};
+use crate::writer::{writer_loop, SourceRegistry, WriterMsg};
 use hbbp_core::{Analyzer, HybridRule, SamplingPeriods, Window};
 use hbbp_obs::{Counter, Metrics};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -106,6 +112,9 @@ pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     pub(crate) shutdown: AtomicBool,
     pub(crate) metrics: Metrics,
+    /// Distinct counts sources across every partition, kept by the
+    /// shard writers (what `STATS` reports as `sources`).
+    pub(crate) sources: Arc<SourceRegistry>,
 }
 
 /// A running daemon: join handle plus the bound address.
@@ -218,6 +227,7 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
     } else {
         Metrics::disabled()
     };
+    let sources = Arc::new(SourceRegistry::default());
     let mut shard_txs: Vec<SyncSender<WriterMsg>> = Vec::new();
     let mut writers: Vec<JoinHandle<()>> = Vec::new();
     for i in 0..config.shards.max(1) {
@@ -226,8 +236,9 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
         let (tx, rx) = std::sync::mpsc::sync_channel(queue_depth);
         shard_txs.push(tx);
         let writer_metrics = metrics.clone();
+        let registry = Arc::clone(&sources);
         writers.push(std::thread::spawn(move || {
-            writer_loop(store, rx, writer_metrics, i)
+            writer_loop(store, rx, writer_metrics, i, &registry)
         }));
     }
 
@@ -244,6 +255,7 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
         addr,
         shutdown: AtomicBool::new(false),
         metrics: metrics.clone(),
+        sources,
     });
 
     let mut worker_txs: Vec<Sender<TcpStream>> = Vec::new();
@@ -273,12 +285,19 @@ pub fn spawn(config: DaemonConfig) -> Result<DaemonHandle, StoreError> {
             }
             let _ = stream.set_nodelay(true);
             shared.metrics.inc(Counter::AcceptorAccepts);
-            // Round-robin connection placement across the pool.
-            let _ = worker_txs[next % worker_txs.len()].send(stream);
+            // Round-robin connection placement across the pool; the
+            // chosen worker may be parked, so wake it for the handoff.
+            let slot = next % worker_txs.len();
+            let _ = worker_txs[slot].send(stream);
+            workers[slot].thread().unpark();
             next += 1;
         }
-        // Shutdown ordering: close the inboxes so workers drain...
+        // Shutdown ordering: close the inboxes so workers drain (waking
+        // the ones parked without connections to see the disconnect)...
         drop(worker_txs);
+        for w in &workers {
+            w.thread().unpark();
+        }
         for w in workers {
             let _ = w.join();
         }

@@ -20,9 +20,14 @@
 //! * a client that never reads its response parks in [`ConnState::Flush`]
 //!   with the bytes buffered; the worker moves on.
 //!
+//! Idle workers park instead of sleeping: every handoff to a worker (a
+//! new connection, a shard writer's reply) unparks it, so only socket
+//! readiness and shard-queue space are still polled, every
+//! [`IDLE_POLL`]. A worker holding no connections parks untimed.
+//!
 //! Shutdown: once the acceptor closes the inbox, a worker keeps ticking
 //! until its connections finish, force-dropping stragglers after
-//! [`DRAIN_GRACE_TICKS`] ticks without global progress, then drops its
+//! [`DRAIN_GRACE`] of wall time without global progress, then drops its
 //! writer senders so the shard writers drain and exit.
 
 use crate::daemon::Shared;
@@ -34,7 +39,7 @@ use crate::wire::{
     OP_QUERY_TOP, OP_SHUTDOWN, OP_STATS, OP_STREAM, RESP_EPOCHS, RESP_ERR, RESP_INGESTED,
     RESP_METRICS, RESP_MIX, RESP_OK, RESP_STATS,
 };
-use crate::writer::{ShardStats, WriterMsg};
+use crate::writer::{Reply, ShardStats, WriterMsg};
 use hbbp_core::{MixDrift, OnlineAnalyzer, OnlineOutcome};
 use hbbp_obs::{Counter, Gauge, Histogram, Metrics};
 use hbbp_perf::{RecordView, StreamDecoder, StreamStats, ViewSink};
@@ -54,14 +59,15 @@ const READ_BUDGET: usize = 64 * 1024;
 /// is full before its reads are deprioritized (backpressure).
 const WINDOW_HIGH_WATER: usize = 1024;
 
-/// Ticks without any progress before a *draining* worker force-drops
-/// its remaining connections (with the idle sleep this is ≥ ~200 ms of
-/// real time — enough for any live peer to make a byte of progress).
-const DRAIN_GRACE_TICKS: u32 = 2000;
+/// Wall time without any progress before a *draining* worker
+/// force-drops its remaining connections — enough for any live peer to
+/// make a byte of progress.
+const DRAIN_GRACE: Duration = Duration::from_millis(200);
 
-/// Sleep between ticks when a full pass over every connection made no
-/// progress (nothing readable, writable, or received).
-const IDLE_SLEEP: Duration = Duration::from_micros(100);
+/// Longest park between ticks when a full pass over every connection
+/// made no progress (nothing readable, writable, or received): sockets
+/// and shard-queue space have no wakeup, so they are polled this often.
+const IDLE_POLL: Duration = Duration::from_micros(100);
 
 /// Everything a worker needs to drive its connections.
 struct WorkerCtx<'a> {
@@ -386,7 +392,8 @@ impl<'a> Conn<'a> {
             }
             OP_STATS => {
                 let (tx, rx) = std::sync::mpsc::channel();
-                ctx.fan_out(|_| WriterMsg::Stats(tx.clone()));
+                let reply = Reply::to_current(tx);
+                ctx.fan_out(|_| WriterMsg::Stats(reply.clone()));
                 self.state = ConnState::GatherStats {
                     rx,
                     want: ctx.shards.len(),
@@ -395,7 +402,8 @@ impl<'a> Conn<'a> {
             }
             OP_COMPACT => {
                 let (tx, rx) = std::sync::mpsc::channel();
-                ctx.fan_out(|_| WriterMsg::Compact(tx.clone()));
+                let reply = Reply::to_current(tx);
+                ctx.fan_out(|_| WriterMsg::Compact(reply.clone()));
                 self.state = ConnState::GatherCompact {
                     rx,
                     want: ctx.shards.len(),
@@ -419,7 +427,8 @@ impl<'a> Conn<'a> {
 
     fn start_gather(&mut self, ctx: &WorkerCtx<'a>, query: SnapQuery) {
         let (tx, rx) = std::sync::mpsc::channel();
-        ctx.fan_out(|i| WriterMsg::Snapshot(i, tx.clone()));
+        let reply = Reply::to_current(tx);
+        ctx.fan_out(|i| WriterMsg::Snapshot(i, reply.clone()));
         self.state = ConnState::Gather {
             rx,
             want: ctx.shards.len(),
@@ -695,7 +704,7 @@ impl<'a> Conn<'a> {
                     ebs_samples: ebs,
                     lbr_samples: lbr,
                     bbec,
-                    reply: tx,
+                    reply: Reply::to_current(tx),
                 },
             ) {
                 Ok(()) => {
@@ -858,7 +867,9 @@ impl<'a> Conn<'a> {
                 shards: ctx.shards.len() as u32,
                 counts_frames: 0,
                 window_frames: 0,
-                sources: 0,
+                // Every shard has answered, so every counts frame it
+                // committed before this request is in the registry.
+                sources: ctx.shared.sources.len() as u32,
                 store_bytes: 0,
                 parked_connections: m.gauge_value(Gauge::WorkerParkedConnections, 0).0 as u32,
                 writer_queues: (0..ctx.shards.len())
@@ -871,16 +882,11 @@ impl<'a> Conn<'a> {
                     })
                     .collect(),
             };
-            let mut sources: Vec<u32> = Vec::new();
             for shard in got.drain(..) {
                 stats.counts_frames += shard.counts_frames;
                 stats.window_frames += shard.window_frames;
                 stats.store_bytes += shard.bytes;
-                sources.extend(shard.sources);
             }
-            sources.sort_unstable();
-            sources.dedup();
-            stats.sources = sources.len() as u32;
             self.respond(RESP_STATS, &encode_stats(&stats));
             return true;
         }
@@ -983,7 +989,7 @@ impl TickCounters {
     }
 }
 
-/// One worker: adopt connections from the inbox, tick them all, sleep
+/// One worker: adopt connections from the inbox, tick them all, park
 /// when idle, drain on shutdown.
 pub(crate) fn worker_loop(
     shared: Arc<Shared>,
@@ -999,7 +1005,8 @@ pub(crate) fn worker_loop(
     let mut conns: Vec<Conn<'_>> = Vec::new();
     let mut scratch = vec![0u8; READ_BUDGET];
     let mut draining = false;
-    let mut idle_ticks = 0u32;
+    // While draining: when the current run of no-progress ticks began.
+    let mut idle_since: Option<Instant> = None;
     let mut tallies = TickCounters::default();
     loop {
         tallies.ticks += 1;
@@ -1051,20 +1058,24 @@ pub(crate) fn worker_loop(
                 break;
             }
             if progress {
-                idle_ticks = 0;
-            } else {
-                idle_ticks += 1;
-                if idle_ticks >= DRAIN_GRACE_TICKS {
-                    // Stragglers (stalled clients, never-reading peers)
-                    // are dropped; everything they completed is already
-                    // with the writers.
-                    break;
-                }
+                idle_since = None;
+            } else if idle_since.get_or_insert_with(Instant::now).elapsed() >= DRAIN_GRACE {
+                // Stragglers (stalled clients, never-reading peers) are
+                // dropped; everything they completed is already with
+                // the writers.
+                break;
             }
         }
         if !progress {
             tallies.sleeps += 1;
-            std::thread::sleep(IDLE_SLEEP);
+            if conns.is_empty() {
+                // Only the inbox or its disconnect can bring work, and
+                // the acceptor unparks us for both.
+                std::thread::park();
+            } else {
+                // Replies unpark us; sockets and queue space are polled.
+                std::thread::park_timeout(IDLE_POLL);
+            }
         }
     }
     // Force-dropped stragglers: settle the gauges they still hold so a
@@ -1127,6 +1138,7 @@ mod tests {
             addr,
             shutdown: AtomicBool::new(false),
             metrics: metrics.clone(),
+            sources: Default::default(),
         };
         // One shard, one queue slot, pre-stuffed: every flush sees Full
         // until the test drains the receiver.

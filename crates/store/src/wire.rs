@@ -389,7 +389,12 @@ pub struct DaemonStats {
     pub counts_frames: u64,
     /// Window timeline frames across all partitions.
     pub window_frames: u64,
-    /// Distinct source ids seen.
+    /// Distinct source ids across every partition's counts frames,
+    /// [`COMPACTED_SOURCE`](crate::COMPACTED_SOURCE) counted once when
+    /// any partition holds compacted folds. A source held by several
+    /// partitions (stores written under a different shard count, or
+    /// filled by a merge) still counts once; a source whose frames were
+    /// all compacted away no longer counts.
     pub sources: u32,
     /// Total bytes across all partition logs.
     pub store_bytes: u64,

@@ -306,3 +306,110 @@ fn daemon_rejects_garbage_streams_without_storing_anything() {
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Distinct sources over the union of the partition files, as
+/// [`Snapshot::sources`](hbbp_store::Snapshot::sources) counts them.
+fn union_sources(dir: &std::path::Path, shards: usize) -> u32 {
+    let mut union = ProfileStore::open(dir.join("part-0.hbbp"))
+        .expect("part-0")
+        .snapshot();
+    for i in 1..shards {
+        let part = ProfileStore::open(dir.join(format!("part-{i}.hbbp"))).expect("part");
+        union.counts.extend(part.snapshot().counts);
+    }
+    union.sources().len() as u32
+}
+
+#[test]
+fn daemon_stats_sources_match_the_partition_union() {
+    let dir = tmp_dir("sources");
+    let (w, rec) = client_recording(0);
+    let analyzer = analyzer_for(&w);
+    let identity = StoreIdentity::of_workload(&w, analyzer.map());
+    let counts: Bbec = [(0x400000u64, 1.0)].into_iter().collect();
+
+    // Source 1 sits in both partitions: part-0 is not its `1 % 2` home,
+    // as after a restart under another shard count or a store merge.
+    let mut part0 =
+        ProfileStore::open_with_identity(dir.join("part-0.hbbp"), identity.clone()).unwrap();
+    part0.append_counts(1, 1, 1, counts.clone()).unwrap();
+    part0.append_counts(2, 1, 1, counts.clone()).unwrap();
+    let mut part1 =
+        ProfileStore::open_with_identity(dir.join("part-1.hbbp"), identity.clone()).unwrap();
+    part1.append_counts(1, 1, 1, counts.clone()).unwrap();
+    part1.append_counts(3, 1, 1, counts).unwrap();
+    drop((part0, part1));
+
+    let handle = hbbp_store::spawn(DaemonConfig {
+        analyzer,
+        identity,
+        periods: PERIODS,
+        rule: HybridRule::paper_default(),
+        window: None,
+        shards: 2,
+        dir: dir.clone(),
+        workers: 0,
+        queue_depth: 0,
+        metrics: true,
+    })
+    .expect("daemon");
+    let client = handle.client();
+    let bytes = hbbp_perf::codec::write(&rec.data);
+    let check = |step: &str, want: u32| {
+        let got = client.stats().expect("stats").sources;
+        assert_eq!(
+            got,
+            union_sources(&dir, 2),
+            "{step}: STATS vs partition union"
+        );
+        assert_eq!(got, want, "{step}");
+    };
+
+    check("spawned over pre-written partitions", 3);
+    for source in [4, 5] {
+        client.stream_bytes(source, &bytes).expect("stream");
+    }
+    check("new sources streamed", 5);
+    client.compact().expect("compact");
+    check("compacted: only COMPACTED_SOURCE remains", 1);
+    client.stream_bytes(4, &bytes).expect("stream");
+    check("a compacted source streams again", 2);
+
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Workers that hold no connections park without a timeout; shutdown
+/// must still wake them, or joining the daemon hangs.
+#[test]
+fn daemon_with_idle_workers_shuts_down() {
+    let dir = tmp_dir("idle");
+    let (w, _) = client_recording(0);
+    let analyzer = analyzer_for(&w);
+    let identity = StoreIdentity::of_workload(&w, analyzer.map());
+    let handle = hbbp_store::spawn(DaemonConfig {
+        analyzer,
+        identity,
+        periods: PERIODS,
+        rule: HybridRule::paper_default(),
+        window: None,
+        shards: 2,
+        dir: dir.clone(),
+        workers: 4,
+        queue_depth: 0,
+        metrics: true,
+    })
+    .expect("daemon");
+    // Let every worker reach its untimed park; only the SHUTDOWN
+    // connection below is ever dealt to one of them.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.shutdown().expect("shutdown");
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the daemon joined its parked workers");
+    let _ = std::fs::remove_dir_all(&dir);
+}
